@@ -80,8 +80,15 @@ def _report_json(report: ValidationReport) -> dict:
 # --- input resolution ---------------------------------------------------------
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError("invalid-encoding", f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_context_file(path: str, dimension_tag: str | None) -> FormalContext:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     if text.lstrip()[:1] == "{":
         if dimension_tag is not None:
             raise InputError("dimension-flag-forbidden", "JSON contexts carry their own dimension; drop --dimension")
@@ -184,11 +191,11 @@ def _cmd_fit(args) -> int:
     contexts = _profile_contexts(args)
     registry = registry_from_contexts(contexts)
     profile = profile_of(contexts, args.kg)
-    requirement = requirement_from_json(Path(args.require).read_text(encoding="utf-8"))
+    requirement = requirement_from_json(_read_text(args.require))
     report = evaluate_fitness(profile, requirement, registry)
     cost = None
     if args.cost_model:
-        model = cost_model_from_json(Path(args.cost_model).read_text(encoding="utf-8"))
+        model = cost_model_from_json(_read_text(args.cost_model))
         cost = gap_cost(report, model)
     _emit(args, _json_text(fitness_json(report, kg=profile.kg, requirement=requirement, cost=cost)))
     return 0
@@ -202,7 +209,7 @@ def _cmd_delta(args) -> int:
         target = profile_of(contexts, args.to_kg)
         target_label = target.kg
     else:
-        target = requirement_from_json(Path(args.require).read_text(encoding="utf-8"))
+        target = requirement_from_json(_read_text(args.require))
         target_label = f"{target.community}/{target.task}"
     delta = transformation_delta(source, target, registry)
     _emit(args, _json_text(delta_json(delta, source=source.kg, target=target_label)))

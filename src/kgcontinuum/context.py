@@ -256,23 +256,41 @@ def serialize_cxt(ctx: FormalContext) -> str:
 
 # --- JSON carrier -----------------------------------------------------------
 
+
+def _reject_constant(name: str):
+    # NaN and Infinity are not JSON; json.loads accepts them by default
+    raise InputError("invalid-json", f"{name} is not a JSON number")
+
+
+def json_object(text: str, required: Iterable[str] = (), allowed: Iterable[str] | None = None) -> dict:
+    """Parse text as one JSON object that holds every required key.
+
+    When allowed is given, keys outside it are rejected too. Malformed
+    JSON, NaN and Infinity literals, and nesting too deep to decode raise
+    InputError("invalid-json"); a wrong shape raises "schema-violation".
+    """
+    try:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:
+        raise InputError("invalid-json", str(exc)) from None
+    if not isinstance(doc, dict):
+        raise InputError("schema-violation", "top level must be an object")
+    missing = set(required) - doc.keys()
+    if missing:
+        raise InputError("schema-violation", f"missing keys: {', '.join(sorted(missing))}")
+    if allowed is not None:
+        extra = doc.keys() - set(allowed)
+        if extra:
+            raise InputError("schema-violation", f"unexpected keys: {', '.join(sorted(extra))}")
+    return doc
+
+
 _JSON_KEYS = ("dimension", "objects", "attributes", "incidence")
 
 
 def parse_json_context(text: str) -> FormalContext:
     """Parse the JSON context document; unlike CXT it carries its dimension."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError("invalid-json", str(exc)) from None
-    if not isinstance(doc, dict):
-        raise InputError("schema-violation", "top level must be an object")
-    missing = set(_JSON_KEYS) - doc.keys()
-    if missing:
-        raise InputError("schema-violation", f"missing keys: {', '.join(sorted(missing))}")
-    extra = doc.keys() - set(_JSON_KEYS)
-    if extra:
-        raise InputError("schema-violation", f"unexpected keys: {', '.join(sorted(extra))}")
+    doc = json_object(text, _JSON_KEYS, _JSON_KEYS)
     if not isinstance(doc["dimension"], str):
         raise InputError("schema-violation", "dimension must be a string")
     dimension = Dimension.from_tag(doc["dimension"])

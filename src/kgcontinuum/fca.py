@@ -7,9 +7,11 @@ the public surface speaks frozensets of names.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import and_
 
 from .context import FormalContext
 from .errors import InputError
@@ -330,16 +332,63 @@ def follows_from(implication: Implication, basis: Iterable[Implication]) -> bool
     return implication.conclusion <= close_under_implications(basis, implication.premise)
 
 
-def _l_close(mask: int, imps: Sequence[tuple[int, int]]) -> int:
-    """Fixpoint of firing (premise, closure) pairs whose premise is contained."""
-    changed = True
-    while changed:
-        changed = False
-        for p, c in imps:
-            if p & mask == p and c & ~mask:
-                mask |= c
-                changed = True
-    return mask
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+class _ImplicationIndex:
+    """Implications found so far, indexed by the attributes their premises lack.
+
+    without[j] is a bitset over implication ids holding every implication
+    whose premise lacks attribute j. The implications whose premise lies
+    inside a set X are then the AND of without[j] over the attributes j
+    outside X: at most |M| big-int ANDs, with no scan over the implications.
+    """
+
+    __slots__ = ("full", "found", "without")
+
+    def __init__(self, n: int):
+        self.full = (1 << n) - 1
+        self.found: list[tuple[int, int]] = []  # (premise mask, context closure of premise)
+        self.without = [0] * n
+
+    def add(self, premise: int, closure: int) -> None:
+        bit = 1 << len(self.found)
+        self.found.append((premise, closure))
+        without = self.without
+        for j in range(len(without)):
+            if not premise >> j & 1:
+                without[j] |= bit
+
+    def close(self, mask: int) -> int:
+        """L-closure of a non-empty NextClosure candidate, or a set that fails its lectic check.
+
+        Fires only the implications that became fireable since the last
+        round, ORing their context closures into the set, until none is new.
+        It gives up as soon as it adds an attribute below the candidate's
+        top bit: the partial set returned then disagrees with the candidate
+        below that bit, so _next_closed_mask rejects it as it would the
+        full closure.
+        """
+        found, without, full = self.found, self.without, self.full
+        low = (1 << (mask.bit_length() - 1)) - 1  # attributes below the top bit
+        keep = mask & low
+        fired = 0  # always a subset of fireable, which only grows with mask
+        while mask != full:
+            # bin() digits of the attributes outside mask, lowest first, as
+            # 0/1 bytes that pick the sets to AND; the loop runs in C
+            missing = bin(full & ~mask)[:1:-1].encode().translate(_BINARY_DIGITS)
+            fireable = reduce(and_, compress(without, missing), -1)
+            new = fireable ^ fired
+            if not new:
+                return mask
+            fired = fireable
+            while new:
+                k = new.bit_length() - 1
+                new ^= 1 << k
+                mask |= found[k][1]
+                if mask & low != keep:
+                    return mask
+        return mask
 
 
 def implication_basis(ctx: FormalContext) -> tuple[Implication, ...]:
@@ -349,19 +398,24 @@ def implication_basis(ctx: FormalContext) -> tuple[Implication, ...]:
     far; each such set that is not closed in the context is a pseudo-closed
     premise and contributes the implication premise -> closure \\ premise.
     No equally complete set of implications is smaller.
+
+    Each closure under the L implications found so far costs at most |M|
+    big-int ANDs over L-bit sets per round of firing, plus one OR per
+    implication fired, and stops early on a candidate that cannot be
+    canonical; it never scans all L implications.
     """
     n = len(ctx.attributes)
     full = (1 << n) - 1
-    found: list[tuple[int, int]] = []  # (premise mask, context closure of premise)
+    index = _ImplicationIndex(n)
     mask = 0
     while True:
         closed = _close_attr_mask(ctx, mask)
         if closed != mask:
-            found.append((mask, closed))
+            index.add(mask, closed)
         if mask == full:
             break
-        nxt = _next_closed_mask(lambda m: _l_close(m, found), mask, n)
+        nxt = _next_closed_mask(index.close, mask, n)
         if nxt is None:  # cannot happen before the full set is visited
             break
         mask = nxt
-    return tuple(Implication(_attr_names(ctx, p), _attr_names(ctx, c & ~p)) for p, c in found)
+    return tuple(Implication(_attr_names(ctx, p), _attr_names(ctx, c & ~p)) for p, c in index.found)

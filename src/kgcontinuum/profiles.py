@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .context import Dimension, FeatureRegistry, FormalContext, normalize_name
+from .context import Dimension, FeatureRegistry, FormalContext, json_object, normalize_name
 from .errors import InputError
 from .fca import ConceptLattice, derive_attributes, derive_objects
 
@@ -208,15 +208,7 @@ def transformation_delta(
 
 def requirement_from_json(text: str) -> RequirementSet:
     """Parse {"community", "task", "required": {"<dimension>": [...]}}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError("invalid-json", str(exc)) from None
-    if not isinstance(doc, dict):
-        raise InputError("schema-violation", "top level must be an object")
-    missing = {"community", "task", "required"} - doc.keys()
-    if missing:
-        raise InputError("schema-violation", f"missing keys: {', '.join(sorted(missing))}")
+    doc = json_object(text, ("community", "task", "required"))
     community, task, required = doc["community"], doc["task"], doc["required"]
     if not isinstance(community, str) or not isinstance(task, str):
         raise InputError("schema-violation", "community and task must be strings")
@@ -230,27 +222,37 @@ def requirement_from_json(text: str) -> RequirementSet:
     return RequirementSet(community, task, by_dim)
 
 
-def cost_model_from_json(text: str) -> CostModel:
-    """Parse {"add_weight"?, "remove_weight"?, "overrides"?}."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite_weight(value: int | float) -> float:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError("invalid-json", str(exc)) from None
-    if not isinstance(doc, dict):
-        raise InputError("schema-violation", "top level must be an object")
-    extra = doc.keys() - {"add_weight", "remove_weight", "overrides"}
-    if extra:
-        raise InputError("schema-violation", f"unexpected keys: {', '.join(sorted(extra))}")
+        weight = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        weight = math.inf
+    if not math.isfinite(weight):
+        raise InputError("invalid-weight", "cost weights must be finite numbers")
+    return weight
+
+
+def cost_model_from_json(text: str) -> CostModel:
+    """Parse {"add_weight"?, "remove_weight"?, "overrides"?}; weights are finite numbers, not booleans."""
+    doc = json_object(text, allowed=("add_weight", "remove_weight", "overrides"))
     add_weight = doc.get("add_weight", 1.0)
     remove_weight = doc.get("remove_weight", 0.0)
     overrides = doc.get("overrides", {})
-    if not isinstance(add_weight, (int, float)) or not isinstance(remove_weight, (int, float)):
+    if not _is_number(add_weight) or not _is_number(remove_weight):
         raise InputError("schema-violation", "weights must be numbers")
     if not isinstance(overrides, dict) or not all(
-        isinstance(k, str) and isinstance(v, (int, float)) for k, v in overrides.items()
+        isinstance(k, str) and _is_number(v) for k, v in overrides.items()
     ):
         raise InputError("schema-violation", "overrides must map feature names to numbers")
-    return CostModel(float(add_weight), float(remove_weight), overrides)
+    return CostModel(
+        _finite_weight(add_weight),
+        _finite_weight(remove_weight),
+        {k: _finite_weight(v) for k, v in overrides.items()},
+    )
 
 
 def _features_json(features: Mapping[Dimension, frozenset[str]]) -> dict[str, list[str]]:

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from kgcontinuum import Dimension, FormalContext, load_corpus
+from kgcontinuum import Dimension, FormalContext, Implication, load_corpus
 
 
 # verdict lines collected by the acceptance suite; the conftest summary hook
@@ -124,6 +124,60 @@ def oracle_pseudo_intents(ctx):
             if all(q_clo <= p for q, q_clo in pseudo if q < p):
                 pseudo.append((p, clo))
     return {p for p, _ in pseudo}
+
+
+def _l_close(mask, imps):
+    """Fixpoint of firing (premise, closure) pairs whose premise is contained."""
+    changed = True
+    while changed:
+        changed = False
+        for p, c in imps:
+            if p & mask == p and c & ~mask:
+                mask |= c
+                changed = True
+    return mask
+
+
+def oracle_basis_l_close(ctx):
+    """The Duquenne-Guigues basis by NextClosure over rescanning L-closures.
+
+    The package's basis before its implication index, kept as the reference:
+    every candidate is closed to a fixpoint by rescanning all implications
+    found so far, with bitmask context closure computed here from the rows.
+    """
+    n = len(ctx.attributes)
+    full = (1 << n) - 1
+    rows = [sum(1 << j for j, v in enumerate(row) if v) for row in ctx.incidence]
+
+    def close(mask):
+        out = full
+        for row in rows:
+            if row & mask == mask:
+                out &= row
+        return out
+
+    found = []  # (premise mask, context closure of premise)
+    mask = 0
+    while True:
+        closed = close(mask)
+        if closed != mask:
+            found.append((mask, closed))
+        if mask == full:
+            break
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            low = bit - 1
+            candidate = _l_close((mask & low) | bit, found)
+            if candidate & low == mask & low:
+                mask = candidate
+                break
+
+    def names(m):
+        return frozenset(a for j, a in enumerate(ctx.attributes) if m >> j & 1)
+
+    return tuple(Implication(names(p), names(c & ~p)) for p, c in found)
 
 
 def lectic_less(ctx, a, b):

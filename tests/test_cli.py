@@ -1,6 +1,10 @@
 """CLI behaviour: subcommands, exit codes, determinism, diagnostics."""
 
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,33 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_python_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgcontinuum", "corpus", "verify"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {"errors": [], "warnings": []}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_fit_output_is_strict_json(capsys, req_file, tmp_path):
+    model = tmp_path / "cost.json"
+    model.write_text('{"add_weight": 1e300, "overrides": {"SHACL": 0.25}}')
+    code, out, _ = run(capsys, "fit", "--corpus", "builtin", "--kg", "Wikidata", "--require", req_file, "--cost-model", str(model))
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert math.isfinite(doc["cost"])
+
+
 # --- exit codes and diagnostics -----------------------------------------------------
 
 
@@ -234,6 +265,33 @@ def test_bad_requirement_json_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "fit", "--corpus", "builtin", "--kg", "Wikidata", "--require", str(path))
     assert code == 1
     assert "invalid-json" in err
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "1e400", "true"])
+def test_bad_cost_weight_exits_one(capsys, req_file, tmp_path, weight):
+    for text in (f'{{"add_weight": {weight}}}', f'{{"overrides": {{"SHACL": {weight}}}}}'):
+        model = tmp_path / "cost.json"
+        model.write_text(text)
+        code, out, err = run(capsys, "fit", "--corpus", "builtin", "--kg", "Wikidata", "--require", req_file, "--cost-model", str(model))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--context", "--require", "--cost-model"])
+def test_non_utf8_input_file_exits_one(capsys, req_file, tmp_path, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b'{"dimension": "combined", "objects": ["g\xff"], "attributes": [], "incidence": [[]]}')
+    if flag == "--context":
+        argv = ["lattice", "--context", str(bad)]
+    elif flag == "--require":
+        argv = ["fit", "--corpus", "builtin", "--kg", "Wikidata", "--require", str(bad)]
+    else:
+        argv = ["fit", "--corpus", "builtin", "--kg", "Wikidata", "--require", req_file, "--cost-model", str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid-encoding")
 
 
 def test_combined_context_rejected_for_fit(capsys, req_file, tmp_path):

@@ -27,11 +27,15 @@ from kgcontinuum import (
     next_closure,
 )
 
+from kgcontinuum.fca import _ImplicationIndex
+
 from helpers import (
+    _l_close,
     canonical_sort,
     contexts_strategy,
     corpus,
     lectic_less,
+    oracle_basis_l_close,
     oracle_close,
     oracle_concepts,
     oracle_covers,
@@ -337,6 +341,44 @@ def test_basis_on_corpus_dimensions():
         Implication(frozenset(["named graphs"]), frozenset(["PROV-O"])),
         implication_basis(corpus().contexts[Dimension.PRAGMATIC_PROPERTY]),
     )
+
+
+@given(contexts_strategy(max_objects=7, max_attributes=7))
+def test_basis_matches_l_close_oracle(ctx):
+    assert implication_basis(ctx) == oracle_basis_l_close(ctx)
+
+
+def test_basis_matches_l_close_oracle_on_corpus():
+    for ctx in [*corpus().contexts.values(), corpus().combined]:
+        assert implication_basis(ctx) == oracle_basis_l_close(ctx)
+
+
+@pytest.mark.parametrize("seed,n_obj,n_att,density", [(1, 50, 18, 0.3), (2, 120, 32, 0.1)])
+def test_basis_matches_l_close_oracle_on_seeded_contexts(seed, n_obj, n_att, density):
+    rng = random.Random(seed)
+    ctx = FormalContext(
+        Dimension.COMBINED,
+        tuple(f"g{i}" for i in range(n_obj)),
+        tuple(f"m{j}" for j in range(n_att)),
+        tuple(tuple(rng.random() < density for _ in range(n_att)) for _ in range(n_obj)),
+    )
+    basis = implication_basis(ctx)
+    assert len(basis) > 100
+    assert basis == oracle_basis_l_close(ctx)
+
+
+def test_l_closure_gives_up_below_the_top_bit():
+    index = _ImplicationIndex(4)
+    index.add(0b0100, 0b0101)  # {m2} -> {m0}
+    index.add(0b0001, 0b0011)  # {m0} -> {m1}
+    candidate, low = 0b0100, 0b0011  # NextClosure step at m2 from the empty set
+    partial = index.close(candidate)
+    assert _l_close(candidate, index.found) == 0b0111
+    assert partial == 0b0101  # stopped once m0, below m2, came in
+    assert partial & low != candidate & low  # so the lectic check rejects it
+    # a closure that adds only attributes above the top bit runs to the fixpoint
+    index.add(0b0010, 0b1010)  # {m1} -> {m3}
+    assert index.close(0b0010) == _l_close(0b0010, index.found) == 0b1010
 
 
 def test_close_under_implications_fixpoint():

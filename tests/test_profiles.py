@@ -19,6 +19,7 @@ from kgcontinuum import (
     fitness_json,
     gap_cost,
     object_concept,
+    parse_json_context,
     profile_of,
     registry_from_contexts,
     requirement_from_json,
@@ -300,6 +301,27 @@ def test_cost_model_from_json():
     with pytest.raises(InputError) as err:
         cost_model_from_json('{"add_weight": -3}')
     assert err.value.code == "invalid-weight"
+
+
+@pytest.mark.parametrize("parse", [parse_json_context, requirement_from_json, cost_model_from_json])
+@pytest.mark.parametrize("payload", ["[" * 100000, '{"add_weight": NaN}', '{"x": [Infinity]}', '{"x": -Infinity}'])
+def test_json_parsers_reject_deep_nesting_and_constants(parse, payload):
+    with pytest.raises(InputError) as err:
+        parse(payload)
+    assert err.value.code == "invalid-json"
+
+
+@pytest.mark.parametrize("text,code", [
+    ('{"add_weight": true}', "schema-violation"),
+    ('{"overrides": {"x": false}}', "schema-violation"),
+    ('{"remove_weight": 1e400}', "invalid-weight"),
+    ('{"overrides": {"x": -1e999}}', "invalid-weight"),
+    ('{"add_weight": 1' + "0" * 400 + '}', "invalid-weight"),
+])
+def test_cost_model_rejects_bool_and_non_finite_weights(text, code):
+    with pytest.raises(InputError) as err:
+        cost_model_from_json(text)
+    assert err.value.code == code
 
 
 def test_fitness_json_shape():
