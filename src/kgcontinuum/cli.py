@@ -82,7 +82,7 @@ def _report_json(report: ValidationReport) -> dict:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputError("invalid-encoding", f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 

@@ -216,13 +216,6 @@ class ConceptLattice:
             ups[lo].append(up)
         return tuple(tuple(u) for u in ups)
 
-    @cached_property
-    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        los: list[list[int]] = [[] for _ in self.concepts]
-        for lo, up in sorted(self.covers):
-            los[up].append(lo)
-        return tuple(tuple(l) for l in los)
-
     def _concept_at(self, index: int) -> FormalConcept:
         if not 0 <= index < len(self.concepts):
             raise InputError("index-out-of-range", f"concept index {index} out of range 0..{len(self.concepts) - 1}")
@@ -232,35 +225,34 @@ class ConceptLattice:
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
     """Enumerate the concepts and compute the cover relation.
 
-    Cover computation is cubic in the concept count: comparabilities are
-    collected as per-concept bitmasks, and (i, j) is a cover when nothing
-    lies strictly between. Fine for desk-scale contexts.
+    Covers follow Lindig's neighbour rule ("Fast Concept Analysis", 2000).
+    For a concept (A, B) and an attribute m outside B, A & m' is the extent
+    of a concept, found by one dict lookup. It is a lower cover unless its
+    intent holds an attribute, other than m, that is still in the running
+    set `minimal`; m leaves `minimal` whenever its candidate is rejected.
+    That is about |C|·|M| ANDs and lookups, with no comparison between
+    pairs of concepts.
     """
     concepts = enumerate_concepts(ctx)
-    n = len(concepts)
     extents = [_obj_mask(ctx, c.extent) for c in concepts]
-    above = [0] * n  # above[i]: bitmask of j with extent_i strictly inside extent_j
-    below = [0] * n
-    for i in range(n):
-        ei = extents[i]
-        # canonical order sorts by extent size, so any j with a strictly
-        # larger extent comes after i
-        for j in range(i + 1, n):
-            if ei & extents[j] == ei and ei != extents[j]:
-                above[i] |= 1 << j
-                below[j] |= 1 << i
+    intents = [_attr_mask(ctx, c.intent) for c in concepts]
+    index_of = {extent: i for i, extent in enumerate(extents)}
+    columns = [_extent_mask(ctx, 1 << m) for m in range(len(ctx.attributes))]
     covers = set()
-    for i in range(n):
-        rest = above[i]
-        while rest:
-            jbit = rest & -rest
-            rest ^= jbit
-            j = jbit.bit_length() - 1
-            if not above[i] & below[j]:
-                covers.add((i, j))
-    top_index = next(i for i, c in enumerate(concepts) if len(c.extent) == len(ctx.objects))
-    bottom_index = next(i for i, c in enumerate(concepts) if len(c.intent) == len(ctx.attributes))
-    return ConceptLattice(ctx, concepts, frozenset(covers), top_index, bottom_index)
+    for up, (extent, intent) in enumerate(zip(extents, intents)):
+        minimal = ~intent
+        for m, column in enumerate(columns):
+            bit = 1 << m
+            if intent & bit:
+                continue
+            lo = index_of[extent & column]
+            if intents[lo] & minimal == bit:
+                covers.add((lo, up))
+            else:
+                minimal ^= bit
+    # canonical order sorts by extent size: the top's extent holds every
+    # other extent and the bottom's lies inside every other one
+    return ConceptLattice(ctx, concepts, frozenset(covers), len(concepts) - 1, 0)
 
 
 def meet(lattice: ConceptLattice, i: int, j: int) -> int:

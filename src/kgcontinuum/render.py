@@ -85,10 +85,10 @@ def assign_layers(lattice: ConceptLattice) -> LayerAssignment:
     Layers strictly increase downward along every cover edge, so edges never
     run within a rank.
     """
-    # process larger extents first: all upper covers of a concept precede it
-    order = sorted(range(len(lattice.concepts)), key=lambda i: -len(lattice.concepts[i].extent))
+    # canonical order puts every upper cover after its lower concept, so a
+    # backward walk meets all upper covers of a concept before the concept
     layers = [0] * len(lattice.concepts)
-    for i in order:
+    for i in reversed(range(len(lattice.concepts))):
         ups = lattice.upper_covers[i]
         if ups:
             layers[i] = max(layers[u] for u in ups) + 1

@@ -294,6 +294,37 @@ def test_non_utf8_input_file_exits_one(capsys, req_file, tmp_path, flag):
     assert err.startswith("error: invalid-encoding")
 
 
+BOM = "\ufeff".encode()
+
+
+def test_bom_prefixed_contexts_give_the_same_lattice(capsys, cxt_file, tmp_path):
+    json_file = tmp_path / "toy.json"
+    json_file.write_text(json.dumps({
+        "dimension": "semantic-property",
+        "objects": ["g1", "g2"],
+        "attributes": ["m1", "m2"],
+        "incidence": [[1, 0], [1, 1]],
+    }))
+    for path, flags in [(Path(cxt_file), ["--dimension", "combined"]), (json_file, [])]:
+        code, plain, _ = run(capsys, "lattice", "--context", str(path), *flags)
+        assert code == 0
+        bom = tmp_path / f"bom-{path.name}"
+        bom.write_bytes(BOM + path.read_bytes())
+        code, out, err = run(capsys, "lattice", "--context", str(bom), *flags)
+        assert (code, err) == (0, "")
+        assert out == plain
+
+
+def test_bom_prefixed_requirement_file(capsys, req_file, tmp_path):
+    code, plain, _ = run(capsys, "fit", "--corpus", "builtin", "--kg", "Wikidata", "--require", req_file)
+    assert code == 0
+    bom = tmp_path / "bom-req.json"
+    bom.write_bytes(BOM + Path(req_file).read_bytes())
+    code, out, err = run(capsys, "fit", "--corpus", "builtin", "--kg", "Wikidata", "--require", str(bom))
+    assert (code, err) == (0, "")
+    assert out == plain
+
+
 def test_combined_context_rejected_for_fit(capsys, req_file, tmp_path):
     path = tmp_path / "combined.json"
     path.write_text(json.dumps({

@@ -211,6 +211,27 @@ def test_lattice_covers_match_oracle(ctx):
     lattice = build_lattice(ctx)
     expected = oracle_covers(oracle_concepts(ctx))
     assert set(lattice.covers) == expected
+    assert lattice.top_index == len(lattice.concepts) - 1
+    assert lattice.bottom_index == 0
+    assert lattice.concepts[lattice.top_index].extent == frozenset(ctx.objects)
+    assert lattice.concepts[lattice.bottom_index].intent == frozenset(ctx.attributes)
+
+
+def seeded_context(seed, n_obj, n_att, density):
+    rng = random.Random(seed)
+    return FormalContext(
+        Dimension.COMBINED,
+        tuple(f"g{i}" for i in range(n_obj)),
+        tuple(f"m{j}" for j in range(n_att)),
+        tuple(tuple(rng.random() < density for _ in range(n_att)) for _ in range(n_obj)),
+    )
+
+
+def test_lattice_covers_match_oracle_on_a_seeded_context():
+    lattice = build_lattice(seeded_context(3, 50, 16, 0.4))
+    assert len(lattice.concepts) > 300
+    pairs = [(c.extent, c.intent) for c in lattice.concepts]
+    assert set(lattice.covers) == oracle_covers(pairs)
 
 
 @given(contexts_strategy(max_objects=6, max_attributes=6))
@@ -355,13 +376,7 @@ def test_basis_matches_l_close_oracle_on_corpus():
 
 @pytest.mark.parametrize("seed,n_obj,n_att,density", [(1, 50, 18, 0.3), (2, 120, 32, 0.1)])
 def test_basis_matches_l_close_oracle_on_seeded_contexts(seed, n_obj, n_att, density):
-    rng = random.Random(seed)
-    ctx = FormalContext(
-        Dimension.COMBINED,
-        tuple(f"g{i}" for i in range(n_obj)),
-        tuple(f"m{j}" for j in range(n_att)),
-        tuple(tuple(rng.random() < density for _ in range(n_att)) for _ in range(n_obj)),
-    )
+    ctx = seeded_context(seed, n_obj, n_att, density)
     basis = implication_basis(ctx)
     assert len(basis) > 100
     assert basis == oracle_basis_l_close(ctx)
