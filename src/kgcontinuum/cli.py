@@ -168,11 +168,12 @@ def _cmd_dot(args) -> int:
 def _cmd_implications(args) -> int:
     ctx = _single_context(args)
     basis = implication_basis(ctx)
+    order = ctx.attribute_index.__getitem__
     if args.format == "json":
         doc = [
             {
-                "premise": [a for a in ctx.attributes if a in imp.premise],
-                "conclusion": [a for a in ctx.attributes if a in imp.conclusion],
+                "premise": sorted(imp.premise, key=order),
+                "conclusion": sorted(imp.conclusion, key=order),
             }
             for imp in basis
         ]
@@ -180,8 +181,8 @@ def _cmd_implications(args) -> int:
     else:
         lines = []
         for imp in basis:
-            premise = ", ".join(a for a in ctx.attributes if a in imp.premise) or "---"
-            conclusion = ", ".join(a for a in ctx.attributes if a in imp.conclusion) or "---"
+            premise = ", ".join(sorted(imp.premise, key=order)) or "---"
+            conclusion = ", ".join(sorted(imp.conclusion, key=order)) or "---"
             lines.append(f"{premise} -> {conclusion}")
         _emit(args, "\n".join(lines) + "\n" if lines else "")
     return 0

@@ -122,6 +122,17 @@ class FormalContext:
             masks.append(m)
         return tuple(masks)
 
+    @cached_property
+    def column_masks(self) -> tuple[int, ...]:
+        """Per-attribute object bitmask, the transpose of row_masks; bit i corresponds to objects[i]."""
+        masks = [0] * len(self.attributes)
+        for i, row in enumerate(self.incidence):
+            bit = 1 << i
+            for j, v in enumerate(row):
+                if v:
+                    masks[j] |= bit
+        return tuple(masks)
+
     def features_of(self, obj: str) -> frozenset[str]:
         """Attributes incident to one object."""
         name = normalize_name(obj)

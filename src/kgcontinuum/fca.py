@@ -61,34 +61,33 @@ def _obj_mask(ctx: FormalContext, objs: Iterable[str]) -> int:
     return mask
 
 
+# bin() digits of a mask, lowest first, as 0/1 bytes: a selector for compress
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> bytes:
+    return bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)
+
+
 def _attr_names(ctx: FormalContext, mask: int) -> frozenset[str]:
-    return frozenset(a for j, a in enumerate(ctx.attributes) if mask >> j & 1)
+    return frozenset(compress(ctx.attributes, _bits(mask)))
 
 
 def _obj_names(ctx: FormalContext, mask: int) -> frozenset[str]:
-    return frozenset(o for i, o in enumerate(ctx.objects) if mask >> i & 1)
+    return frozenset(compress(ctx.objects, _bits(mask)))
 
 
 def _extent_mask(ctx: FormalContext, amask: int) -> int:
-    """Objects incident to every attribute in amask; all objects for amask == 0."""
-    out = 0
-    for i, row in enumerate(ctx.row_masks):
-        if row & amask == amask:
-            out |= 1 << i
-    return out
+    """Objects incident to every attribute in amask; all objects for amask == 0.
+
+    The AND of the attribute columns in amask, run in C by reduce/compress.
+    """
+    return reduce(and_, compress(ctx.column_masks, _bits(amask)), (1 << len(ctx.objects)) - 1)
 
 
 def _intent_mask(ctx: FormalContext, omask: int) -> int:
     """Attributes shared by every object in omask; all attributes for omask == 0."""
-    mask = (1 << len(ctx.attributes)) - 1
-    rows = ctx.row_masks
-    i = 0
-    while omask:
-        if omask & 1:
-            mask &= rows[i]
-        omask >>= 1
-        i += 1
-    return mask
+    return reduce(and_, compress(ctx.row_masks, _bits(omask)), (1 << len(ctx.attributes)) - 1)
 
 
 def _close_attr_mask(ctx: FormalContext, amask: int) -> int:
@@ -237,11 +236,10 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
     extents = [_obj_mask(ctx, c.extent) for c in concepts]
     intents = [_attr_mask(ctx, c.intent) for c in concepts]
     index_of = {extent: i for i, extent in enumerate(extents)}
-    columns = [_extent_mask(ctx, 1 << m) for m in range(len(ctx.attributes))]
     covers = set()
     for up, (extent, intent) in enumerate(zip(extents, intents)):
         minimal = ~intent
-        for m, column in enumerate(columns):
+        for m, column in enumerate(ctx.column_masks):
             bit = 1 << m
             if intent & bit:
                 continue
@@ -281,8 +279,8 @@ def lattice_json(lattice: ConceptLattice) -> dict:
     concepts = [
         {
             "id": f"c{i}",
-            "extent": [o for o in ctx.objects if o in c.extent],
-            "intent": [a for a in ctx.attributes if a in c.intent],
+            "extent": sorted(c.extent, key=ctx.object_index.__getitem__),
+            "intent": sorted(c.intent, key=ctx.attribute_index.__getitem__),
         }
         for i, c in enumerate(lattice.concepts)
     ]
@@ -324,9 +322,6 @@ def follows_from(implication: Implication, basis: Iterable[Implication]) -> bool
     return implication.conclusion <= close_under_implications(basis, implication.premise)
 
 
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
 class _ImplicationIndex:
     """Implications found so far, indexed by the attributes their premises lack.
 
@@ -366,10 +361,8 @@ class _ImplicationIndex:
         keep = mask & low
         fired = 0  # always a subset of fireable, which only grows with mask
         while mask != full:
-            # bin() digits of the attributes outside mask, lowest first, as
-            # 0/1 bytes that pick the sets to AND; the loop runs in C
-            missing = bin(full & ~mask)[:1:-1].encode().translate(_BINARY_DIGITS)
-            fireable = reduce(and_, compress(without, missing), -1)
+            # AND the sets of the attributes outside mask; the loop runs in C
+            fireable = reduce(and_, compress(without, _bits(full & ~mask)), -1)
             new = fireable ^ fired
             if not new:
                 return mask

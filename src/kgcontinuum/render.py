@@ -54,8 +54,8 @@ def legend(lattice: ConceptLattice) -> Legend:
     rows = [
         LegendRow(
             f"c{i}",
-            tuple(o for o in ctx.objects if o in c.extent),
-            tuple(a for a in ctx.attributes if a in c.intent),
+            tuple(sorted(c.extent, key=ctx.object_index.__getitem__)),
+            tuple(sorted(c.intent, key=ctx.attribute_index.__getitem__)),
         )
         for i, c in enumerate(lattice.concepts)
     ]
@@ -113,11 +113,13 @@ def to_dot(lattice: ConceptLattice, labels: str = "id-only") -> str:
     for i, c in enumerate(lattice.concepts):
         label = _quote(f"c{i}")
         if labels == "id+intent":
-            intent = ", ".join(a for a in ctx.attributes if a in c.intent) or EMPTY_MARK
+            intent = ", ".join(sorted(c.intent, key=ctx.attribute_index.__getitem__)) or EMPTY_MARK
             label = f"{label}\\n{_quote(intent)}"
         lines.append(f'  "c{i}" [label="{label}"];')
-    for depth in range(layer.depth + 1):
-        members = [i for i in range(len(lattice.concepts)) if layer[i] == depth]
+    ranks: list[list[int]] = [[] for _ in range(layer.depth + 1)]
+    for i, depth in enumerate(layer.layers):
+        ranks[depth].append(i)
+    for members in ranks:
         lines.append("  { rank=same; " + " ".join(f'"c{i}";' for i in members) + " }")
     for lo, up in sorted(lattice.covers, key=lambda e: (e[1], e[0])):
         lines.append(f'  "c{up}" -> "c{lo}";')

@@ -7,6 +7,7 @@ directly off the incidence table with plain set operations.
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -47,6 +48,56 @@ def oracle_derive_attributes(ctx, objs):
 
 def oracle_close(ctx, attrs):
     return oracle_derive_attributes(ctx, oracle_derive_objects(ctx, attrs))
+
+
+def oracle_extent_mask(ctx, amask):
+    """Objects whose row holds amask, by scanning every row (the package's operator before column masks)."""
+    out = 0
+    for i, row in enumerate(ctx.row_masks):
+        if row & amask == amask:
+            out |= 1 << i
+    return out
+
+
+def oracle_intent_mask(ctx, omask):
+    """AND of the rows of the objects in omask, one object at a time; all attributes for omask == 0."""
+    mask = (1 << len(ctx.attributes)) - 1
+    rows = ctx.row_masks
+    i = 0
+    while omask:
+        if omask & 1:
+            mask &= rows[i]
+        omask >>= 1
+        i += 1
+    return mask
+
+
+def oracle_next_closure_concepts(ctx):
+    """Every (extent, intent) pair of names, by NextClosure over the row-scanning operators."""
+    n = len(ctx.attributes)
+    full = (1 << n) - 1
+
+    def close(m):
+        return oracle_intent_mask(ctx, oracle_extent_mask(ctx, m))
+
+    def names(m, pool):
+        return frozenset(x for k, x in enumerate(pool) if m >> k & 1)
+
+    mask = close(0)
+    found = []
+    while True:
+        found.append((names(oracle_extent_mask(ctx, mask), ctx.objects), names(mask, ctx.attributes)))
+        if mask == full:
+            return found
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            low = bit - 1
+            candidate = close((mask & low) | bit)
+            if candidate & low == mask & low:
+                mask = candidate
+                break
 
 
 def oracle_concepts(ctx):
@@ -202,6 +253,16 @@ def random_context(rng, max_objects=12, max_attributes=12, dimension=Dimension.C
     attributes = tuple(f"m{j}" for j in range(n_att))
     rows = tuple(tuple(rng.random() < density for _ in range(n_att)) for _ in range(n_obj))
     return FormalContext(dimension, objects, attributes, rows)
+
+
+def seeded_context(seed, n_obj, n_att, density):
+    rng = random.Random(seed)
+    return FormalContext(
+        Dimension.COMBINED,
+        tuple(f"g{i}" for i in range(n_obj)),
+        tuple(f"m{j}" for j in range(n_att)),
+        tuple(tuple(rng.random() < density for _ in range(n_att)) for _ in range(n_obj)),
+    )
 
 
 @st.composite

@@ -27,7 +27,7 @@ from kgcontinuum import (
     next_closure,
 )
 
-from kgcontinuum.fca import _ImplicationIndex
+from kgcontinuum.fca import _ImplicationIndex, _extent_mask, _intent_mask
 
 from helpers import (
     _l_close,
@@ -41,9 +41,13 @@ from helpers import (
     oracle_covers,
     oracle_derive_attributes,
     oracle_derive_objects,
+    oracle_extent_mask,
     oracle_implication_valid,
+    oracle_intent_mask,
+    oracle_next_closure_concepts,
     oracle_pseudo_intents,
     random_context,
+    seeded_context,
     subset_strategy,
 )
 
@@ -59,6 +63,25 @@ def test_derivation_matches_oracle(data):
     assert derive_attributes(ctx, objs) == oracle_derive_attributes(ctx, objs)
     assert derive_objects(ctx, attrs) == oracle_derive_objects(ctx, attrs)
     assert close_attributes(ctx, attrs) == oracle_close(ctx, attrs)
+
+
+def masks_strategy(n):
+    full = (1 << n) - 1
+    return st.one_of(st.just(0), st.just(full), st.integers(0, full))
+
+
+@given(data=st.data())
+def test_mask_operators_match_row_scanning_oracles(data):
+    ctx = data.draw(contexts_strategy())
+    amask = data.draw(masks_strategy(len(ctx.attributes)))
+    omask = data.draw(masks_strategy(len(ctx.objects)))
+    assert _extent_mask(ctx, amask) == oracle_extent_mask(ctx, amask)
+    assert _intent_mask(ctx, omask) == oracle_intent_mask(ctx, omask)
+    # column j holds bit i exactly when row i holds bit j
+    assert len(ctx.column_masks) == len(ctx.attributes)
+    for i, row in enumerate(ctx.row_masks):
+        for j, column in enumerate(ctx.column_masks):
+            assert column >> i & 1 == row >> j & 1 == ctx.incidence[i][j]
 
 
 @given(data=st.data())
@@ -194,6 +217,14 @@ def test_concept_set_invariant_under_column_permutation(data):
     assert a == b
 
 
+def test_concepts_match_row_scanning_next_closure_on_a_seeded_context():
+    ctx = seeded_context(4, 100, 30, 0.3)
+    concepts = enumerate_concepts(ctx)
+    assert len(concepts) > 3000
+    expected = canonical_sort(oracle_next_closure_concepts(ctx))
+    assert concepts == tuple(FormalConcept(e, i) for e, i in expected)
+
+
 def test_degenerate_contexts():
     no_attrs = FormalContext(Dimension.COMBINED, ("g1", "g2", "g3"), (), ((), (), ()))
     concepts = enumerate_concepts(no_attrs)
@@ -215,16 +246,6 @@ def test_lattice_covers_match_oracle(ctx):
     assert lattice.bottom_index == 0
     assert lattice.concepts[lattice.top_index].extent == frozenset(ctx.objects)
     assert lattice.concepts[lattice.bottom_index].intent == frozenset(ctx.attributes)
-
-
-def seeded_context(seed, n_obj, n_att, density):
-    rng = random.Random(seed)
-    return FormalContext(
-        Dimension.COMBINED,
-        tuple(f"g{i}" for i in range(n_obj)),
-        tuple(f"m{j}" for j in range(n_att)),
-        tuple(tuple(rng.random() < density for _ in range(n_att)) for _ in range(n_obj)),
-    )
 
 
 def test_lattice_covers_match_oracle_on_a_seeded_context():

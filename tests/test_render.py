@@ -9,11 +9,12 @@ from kgcontinuum import (
     InputError,
     assign_layers,
     build_lattice,
+    lattice_json,
     legend,
     to_dot,
 )
 
-from helpers import contexts_strategy, corpus
+from helpers import contexts_strategy, corpus, seeded_context
 
 
 def prag_prop_lattice():
@@ -41,6 +42,25 @@ def test_legend_bijection(ctx):
     for row in table.rows:
         assert list(row.objects) == [o for o in ctx.objects if o in set(row.objects)]
         assert list(row.attributes) == [a for a in ctx.attributes if a in set(row.attributes)]
+
+
+def test_names_follow_declaration_order_when_it_is_not_alphabetical():
+    # g10 sorts before g2 and m10 before m2, so only the declaration order fits
+    ctx = seeded_context(5, 12, 12, 0.5)
+    lattice = build_lattice(ctx)
+    doc = lattice_json(lattice)
+    rows = legend(lattice).rows
+    dot = to_dot(lattice, labels="id+intent")
+    unsorted = 0
+    for i, (concept, entry, row) in enumerate(zip(lattice.concepts, doc["concepts"], rows)):
+        objects = [o for o in ctx.objects if o in concept.extent]
+        attributes = [a for a in ctx.attributes if a in concept.intent]
+        assert entry["extent"] == list(row.objects) == objects
+        assert entry["intent"] == list(row.attributes) == attributes
+        assert f'"c{i}" [label="c{i}\\n{", ".join(attributes) or "---"}"];' in dot
+        unsorted += objects != sorted(objects) or attributes != sorted(attributes)
+    assert doc["concepts"][-1]["extent"] == list(ctx.objects)
+    assert unsorted > 0
 
 
 def test_legend_markdown_format():
