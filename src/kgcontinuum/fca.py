@@ -7,7 +7,7 @@ the public surface speaks frozensets of names.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
@@ -151,19 +151,50 @@ def next_closure(ctx: FormalContext, current: Iterable[str] | None = None) -> fr
     return None if nxt is None else _attr_names(ctx, nxt)
 
 
-def _closed_intent_masks(ctx: FormalContext) -> Iterator[int]:
+def _concept_masks(ctx: FormalContext) -> list[tuple[int, int]]:
+    """Every concept as an (extent mask, intent mask) pair, in canonical order.
+
+    FCbO (Outrata & Vychodil, Inf. Sci. 2012) over an explicit stack. A
+    concept (A, B) reached by adding attribute y - 1 tries each attribute
+    j >= y outside B: the child extent is A & j' and its intent the AND of
+    the child's rows. The child is kept when that intent agrees with B
+    below j. Otherwise the intent is remembered as failed[j] and handed to
+    the children of (A, B), which skip j without closing whenever failed[j]
+    holds an attribute below j outside their own intent.
+    """
     n = len(ctx.attributes)
     full = (1 << n) - 1
-    mask = _close_attr_mask(ctx, 0)
-    while True:
-        yield mask
-        if mask == full:
-            return
-        mask = _next_closed_mask(lambda m: _close_attr_mask(ctx, m), mask, n)
+    rows = ctx.row_masks
+    attrs = [(j, (1 << j) - 1, column) for j, column in enumerate(ctx.column_masks)]
+    extent = (1 << len(ctx.objects)) - 1
+    found = []
+    stack = [(extent, _intent_mask(ctx, extent), 0, [0] * n)]
+    while stack:
+        extent, intent, start, failed = stack.pop()
+        found.append((extent, intent))
+        failed = failed.copy()  # the parent's list is shared by all its children
+        outside = ~intent
+        for j, low, column in compress(attrs, _bits(full >> start << start & outside)):
+            if failed[j] & low & outside:
+                continue
+            child = extent & column
+            closed = reduce(and_, compress(rows, _bits(child)), full)
+            if closed & low & outside:
+                failed[j] = closed
+            else:
+                stack.append((child, closed, j + 1, failed))
+    # canonical order: extent size, then the sorted extent names. The object
+    # whose name sorts first weighs the most, so among extents of one size
+    # the larger weight sum comes first.
+    size = len(ctx.objects)
+    rank = {name: r for r, name in enumerate(sorted(ctx.objects))}
+    weight = [1 << (size - 1 - rank[name]) for name in ctx.objects]
+    found.sort(key=lambda pair: (pair[0].bit_count() << size) - sum(compress(weight, _bits(pair[0]))))
+    return found
 
 
-def _canonical_key(concept: FormalConcept) -> tuple[int, tuple[str, ...]]:
-    return len(concept.extent), tuple(sorted(concept.extent))
+def _concepts(ctx: FormalContext, pairs: list[tuple[int, int]]) -> tuple[FormalConcept, ...]:
+    return tuple(FormalConcept(_obj_names(ctx, e), _attr_names(ctx, i)) for e, i in pairs)
 
 
 def enumerate_concepts(ctx: FormalContext) -> tuple[FormalConcept, ...]:
@@ -173,12 +204,7 @@ def enumerate_concepts(ctx: FormalContext) -> tuple[FormalConcept, ...]:
     the sorted extent name tuples. Distinct concepts have distinct extents,
     so the order is total.
     """
-    concepts = []
-    for imask in _closed_intent_masks(ctx):
-        emask = _extent_mask(ctx, imask)
-        concepts.append(FormalConcept(_obj_names(ctx, emask), _attr_names(ctx, imask)))
-    concepts.sort(key=_canonical_key)
-    return tuple(concepts)
+    return _concepts(ctx, _concept_masks(ctx))
 
 
 # --- lattice --------------------------------------------------------------
@@ -232,25 +258,23 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
     That is about |C|·|M| ANDs and lookups, with no comparison between
     pairs of concepts.
     """
-    concepts = enumerate_concepts(ctx)
-    extents = [_obj_mask(ctx, c.extent) for c in concepts]
-    intents = [_attr_mask(ctx, c.intent) for c in concepts]
-    index_of = {extent: i for i, extent in enumerate(extents)}
-    covers = set()
-    for up, (extent, intent) in enumerate(zip(extents, intents)):
+    pairs = _concept_masks(ctx)
+    index_of = {extent: i for i, (extent, _) in enumerate(pairs)}
+    intents = [intent for _, intent in pairs]
+    attrs = [(1 << m, column) for m, column in enumerate(ctx.column_masks)]
+    full = (1 << len(attrs)) - 1
+    covers = []
+    for up, (extent, intent) in enumerate(pairs):
         minimal = ~intent
-        for m, column in enumerate(ctx.column_masks):
-            bit = 1 << m
-            if intent & bit:
-                continue
+        for bit, column in compress(attrs, _bits(full & ~intent)):
             lo = index_of[extent & column]
             if intents[lo] & minimal == bit:
-                covers.add((lo, up))
+                covers.append((lo, up))
             else:
                 minimal ^= bit
     # canonical order sorts by extent size: the top's extent holds every
     # other extent and the bottom's lies inside every other one
-    return ConceptLattice(ctx, concepts, frozenset(covers), len(concepts) - 1, 0)
+    return ConceptLattice(ctx, _concepts(ctx, pairs), frozenset(covers), len(pairs) - 1, 0)
 
 
 def meet(lattice: ConceptLattice, i: int, j: int) -> int:

@@ -151,6 +151,8 @@ def gap_cost(report: FitnessReport, model: CostModel | None = None) -> float:
         total += sum(model.add_cost(f) for f in feats)
     for feats in report.surplus.values():
         total += sum(model.remove_cost(f) for f in feats)
+    if not math.isfinite(total):
+        raise InputError("cost-overflow", "the gap cost overflows a float; use smaller weights")
     return total
 
 

@@ -73,7 +73,11 @@ def oracle_intent_mask(ctx, omask):
 
 
 def oracle_next_closure_concepts(ctx):
-    """Every (extent, intent) pair of names, by NextClosure over the row-scanning operators."""
+    """Every (extent, intent) pair of names, by NextClosure over the row-scanning operators.
+
+    The package enumerated concepts this way before FCbO; it is kept as the
+    reference that enumeration is checked against.
+    """
     n = len(ctx.attributes)
     full = (1 << n) - 1
 

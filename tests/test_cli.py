@@ -211,6 +211,37 @@ def test_fit_output_is_strict_json(capsys, req_file, tmp_path):
     assert math.isfinite(doc["cost"])
 
 
+STRICT_JSON_COMMANDS = [
+    *(["lattice", "--corpus", "builtin", "--dimension", tag] for tag in ALL_DIMS),
+    *(["implications", "--corpus", "builtin", "--dimension", tag, "--format", "json"] for tag in ALL_DIMS),
+    *(["validate", "--corpus", "builtin", "--dimension", tag] for tag in ALL_DIMS),
+    *(["corpus", "export", "--dimension", tag, "--format", "json"] for tag in ALL_DIMS),
+    ["corpus", "verify"],
+    ["fit", "--corpus", "builtin", "--kg", "Wikidata", "--require", "{req}"],
+    ["fit", "--corpus", "builtin", "--kg", "Wikidata", "--require", "{req}", "--cost-model", "{cost}"],
+    ["delta", "--corpus", "builtin", "--kg", "Europeana", "--to-kg", "LOV"],
+    ["delta", "--corpus", "builtin", "--kg", "Wikidata", "--require", "{req}"],
+]
+
+
+@pytest.mark.parametrize("argv", STRICT_JSON_COMMANDS, ids=" ".join)
+def test_json_output_is_strict(capsys, req_file, tmp_path, argv):
+    model = tmp_path / "cost.json"
+    model.write_text('{"add_weight": 1e300, "remove_weight": 1e300, "overrides": {"SHACL": 0.25}}')
+    code, out, err = run(capsys, *(a.format(req=req_file, cost=model) for a in argv))
+    assert code == 0, err
+    json.loads(out, parse_constant=_reject_constant)
+
+
+def test_gap_cost_overflow_exits_one(capsys, req_file, tmp_path):
+    model = tmp_path / "cost.json"
+    model.write_text('{"add_weight": 1e308, "remove_weight": 1e308}')
+    code, out, err = run(capsys, "fit", "--corpus", "builtin", "--kg", "Wikidata", "--require", req_file, "--cost-model", str(model))
+    assert code == 1
+    assert out == ""
+    assert "cost-overflow" in err
+
+
 # --- exit codes and diagnostics -----------------------------------------------------
 
 

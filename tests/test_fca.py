@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -223,6 +224,37 @@ def test_concepts_match_row_scanning_next_closure_on_a_seeded_context():
     assert len(concepts) > 3000
     expected = canonical_sort(oracle_next_closure_concepts(ctx))
     assert concepts == tuple(FormalConcept(e, i) for e, i in expected)
+
+
+@given(data=st.data())
+def test_canonical_order_with_names_out_of_declaration_order(data):
+    ctx = data.draw(contexts_strategy(max_objects=9, max_attributes=6))
+    names = data.draw(
+        st.lists(
+            st.text(alphabet="abzAZ019_éß", min_size=1, max_size=4),
+            min_size=len(ctx.objects),
+            max_size=len(ctx.objects),
+            unique=True,
+        )
+    )
+    ctx = FormalContext(ctx.dimension, tuple(names), ctx.attributes, ctx.incidence)
+    expected = canonical_sort(oracle_next_closure_concepts(ctx))
+    assert enumerate_concepts(ctx) == tuple(FormalConcept(e, i) for e, i in expected)
+    assert set(build_lattice(ctx).covers) == oracle_covers(expected)
+
+
+def test_staircase_deeper_than_the_recursion_limit():
+    # object i holds attributes 0..i: the concepts form one chain, and the
+    # enumeration tree is a path as long as there are objects
+    n = sys.getrecursionlimit() + 100
+    objects = tuple(f"g{i}" for i in range(n))
+    attributes = tuple(f"m{j}" for j in range(n))
+    ctx = FormalContext(Dimension.COMBINED, objects, attributes, tuple(tuple(j <= i for j in range(n)) for i in range(n)))
+    chain = tuple(FormalConcept(frozenset(objects[k:]), frozenset(attributes[: k + 1])) for k in reversed(range(n)))
+    assert enumerate_concepts(ctx) == chain
+    lattice = build_lattice(ctx)
+    assert lattice.concepts == chain
+    assert lattice.covers == frozenset((i, i + 1) for i in range(n - 1))
 
 
 def test_degenerate_contexts():

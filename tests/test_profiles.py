@@ -150,6 +150,17 @@ def test_gap_cost_weights_and_overrides():
     assert gap_cost(report, CostModel(remove_weight=1.0, overrides={"b": 3.0})) == 5.0
 
 
+def test_gap_cost_that_overflows_is_an_input_error():
+    report = evaluate_fitness(
+        KgProfile("kg", {PA: frozenset(["a", "b"])}),
+        RequirementSet("c", "t", {PA: frozenset(["a", "x", "y"])}),
+    )
+    assert gap_cost(report, CostModel(add_weight=8e307)) == 1.6e308
+    with pytest.raises(InputError) as err:
+        gap_cost(report, CostModel(add_weight=1e308))
+    assert err.value.code == "cost-overflow"
+
+
 def test_cost_model_rejects_negative_weights():
     with pytest.raises(InputError) as err:
         CostModel(add_weight=-1.0)
