@@ -8,24 +8,27 @@ merging) return new values.
 from __future__ import annotations
 
 import json
-import re
+import reprlib
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
 
 from .errors import InputError
 
-_WS_RUN = re.compile(r"\s+")
+#: Longest count line parse_cxt accepts; far more objects than any document holds.
+_MAX_COUNT_DIGITS = 9
 
 
 def normalize_name(name: str) -> str:
     """Trim and collapse internal whitespace runs to a single space.
 
+    Whitespace is every character for which ``str.isspace()`` holds.
     Comparison of names stays case-sensitive.
     """
-    return _WS_RUN.sub(" ", name.strip())
+    return " ".join(name.split())
 
 
 class Dimension(Enum):
@@ -138,8 +141,7 @@ class FormalContext:
         name = normalize_name(obj)
         if name not in self.object_index:
             raise InputError("unknown-object", f"unknown object {obj!r}")
-        row = self.incidence[self.object_index[name]]
-        return frozenset(a for a, v in zip(self.attributes, row) if v)
+        return frozenset(compress(self.attributes, self.incidence[self.object_index[name]]))
 
     def holders_of(self, attr: str) -> frozenset[str]:
         """Objects incident to one attribute."""
@@ -209,8 +211,15 @@ def parse_cxt(text: str, dimension: Dimension = Dimension.COMBINED) -> FormalCon
 
     def count(idx: int, what: str) -> int:
         raw = take(idx, what).strip()
-        if not raw.isdigit():
-            raise InputError("malformed-header", f"{what} must be a decimal count, got {raw!r}", location=f"line {idx + 1}")
+        # str.isdigit() alone also holds for digits int() rejects, like '²', and
+        # for non-ASCII decimals like '١'; the length bound keeps int() far from
+        # its string-length limit
+        if not (raw.isascii() and raw.isdigit() and len(raw) <= _MAX_COUNT_DIGITS):
+            raise InputError(
+                "malformed-header",
+                f"{what} must be a decimal count of at most {_MAX_COUNT_DIGITS} ASCII digits, got {reprlib.repr(raw)}",
+                location=f"line {idx + 1}",
+            )
         return int(raw)
 
     n_objects = count(2, "object count")
@@ -419,6 +428,13 @@ class FeatureRegistry:
     def _by_name(self) -> Mapping[str, RegistryEntry]:
         return MappingProxyType({e.name: e for e in self.entries})
 
+    @cached_property
+    def _names_by_dimension(self) -> Mapping[Dimension, frozenset[str]]:
+        by_dim: dict[Dimension, set[str]] = {}
+        for e in self._by_name.values():
+            by_dim.setdefault(e.dimension, set()).add(e.name)
+        return MappingProxyType({d: frozenset(names) for d, names in by_dim.items()})
+
     def get(self, name: str) -> RegistryEntry | None:
         return self._by_name.get(normalize_name(name))
 
@@ -443,6 +459,24 @@ class RetroCheckReport:
     pending: tuple[str, ...]
 
 
+def _registered_entry(
+    by_name: Mapping[str, RegistryEntry], name: str, dimension: Dimension
+) -> RegistryEntry | None:
+    """The entry already holding a normalized name, once the name is known to fit under dimension."""
+    if not name:
+        raise InputError("empty-name", "feature name is empty after normalization")
+    if dimension is Dimension.COMBINED:
+        raise InputError("combined-dimension", "features register under a per-dimension axis, not combined")
+    existing = by_name.get(name)
+    if existing is not None and existing.dimension is not dimension:
+        raise InputError(
+            "dimension-conflict",
+            f"{name!r} is already registered under {existing.dimension.value}",
+            location=name,
+        )
+    return existing
+
+
 def register_feature(
     registry: FeatureRegistry,
     name: str,
@@ -458,18 +492,7 @@ def register_feature(
     no-op with an empty report; under a different dimension it is an error.
     """
     name = normalize_name(name)
-    if not name:
-        raise InputError("empty-name", "feature name is empty after normalization")
-    if dimension is Dimension.COMBINED:
-        raise InputError("combined-dimension", "features register under a per-dimension axis, not combined")
-    existing = registry.get(name)
-    if existing is not None:
-        if existing.dimension is not dimension:
-            raise InputError(
-                "dimension-conflict",
-                f"{name!r} is already registered under {existing.dimension.value}",
-                location=name,
-            )
+    if _registered_entry(registry._by_name, name, dimension) is not None:
         return registry, RetroCheckReport(name, dimension, ())
     pending: list[str] = []
     for ctx in contexts:
@@ -486,12 +509,13 @@ def registry_from_contexts(contexts: Iterable[FormalContext]) -> FeatureRegistry
 
     introduced_by is the first object exhibiting the attribute, if any.
     """
-    registry = FeatureRegistry()
+    by_name: dict[str, RegistryEntry] = {}
     for ctx in contexts:
         for j, attr in enumerate(ctx.attributes):
-            first = next((o for o, row in zip(ctx.objects, ctx.incidence) if row[j]), None)
-            registry, _ = register_feature(registry, attr, ctx.dimension, introduced_by=first)
-    return registry
+            if _registered_entry(by_name, attr, ctx.dimension) is None:
+                first = next((o for o, row in zip(ctx.objects, ctx.incidence) if row[j]), None)
+                by_name[attr] = RegistryEntry(attr, ctx.dimension, first)
+    return FeatureRegistry(tuple(by_name.values()))
 
 
 # --- Merging ----------------------------------------------------------------

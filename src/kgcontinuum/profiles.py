@@ -101,15 +101,17 @@ def profile_of(contexts: Iterable[FormalContext], kg: str) -> KgProfile:
 
 
 def _check_registered(role: str, features: Mapping[Dimension, frozenset[str]], registry: FeatureRegistry) -> None:
+    # features are normalized on construction, so they compare directly with registered names
+    known = registry._names_by_dimension
     for dim, feats in features.items():
-        for f in sorted(feats):
-            entry = registry.get(f)
-            if entry is None or entry.dimension is not dim:
-                raise InputError(
-                    "unknown-feature",
-                    f"{role} feature {f!r} is not registered under {dim.value}",
-                    location=f,
-                )
+        unknown = feats - known.get(dim, frozenset())
+        if unknown:
+            f = min(unknown)
+            raise InputError(
+                "unknown-feature",
+                f"{role} feature {f!r} is not registered under {dim.value}",
+                location=f,
+            )
 
 
 def evaluate_fitness(

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from kgcontinuum import Dimension, FormalContext, Implication, load_corpus
+from kgcontinuum import Dimension, FeatureRegistry, FormalContext, Implication, load_corpus, register_feature
 
 
 # verdict lines collected by the acceptance suite; the conftest summary hook
@@ -23,6 +24,24 @@ acceptance_lines: list[str] = []
 @lru_cache(maxsize=1)
 def corpus():
     return load_corpus()
+
+
+_WS_RUN = re.compile(r"\s+")
+
+
+def oracle_normalize_name(name):
+    """Trim, then collapse each run the regex class \\s matches (the package's normalizer before str.split)."""
+    return _WS_RUN.sub(" ", name.strip())
+
+
+def oracle_registry_from_contexts(contexts):
+    """Register every attribute one register_feature call at a time (the package's bulk registration before one pass)."""
+    registry = FeatureRegistry()
+    for ctx in contexts:
+        for j, attr in enumerate(ctx.attributes):
+            first = next((o for o, row in zip(ctx.objects, ctx.incidence) if row[j]), None)
+            registry, _ = register_feature(registry, attr, ctx.dimension, introduced_by=first)
+    return registry
 
 
 def features_map(ctx):

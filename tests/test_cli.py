@@ -284,6 +284,21 @@ def test_missing_file_exits_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "count",
+    ["\u00b2", "1" * 5000, "\u0661"],
+    ids=["superscript-two", "5000-digits", "arabic-indic-one"],
+)
+def test_cxt_count_outside_ascii_digits_exits_one(capsys, tmp_path, count):
+    path = tmp_path / "bad.cxt"
+    path.write_text(f"B\n\n{count}\n1\n\ng\nm\nX\n", encoding="utf-8")
+    code, out, err = run(capsys, "lattice", "--context", str(path), "--dimension", "combined")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed-header: object count must be a decimal count")
+    assert err.count("\n") == 1
+
+
 def test_unknown_kg_exits_one(capsys, req_file):
     code, _, err = run(capsys, "fit", "--corpus", "builtin", "--kg", "Freebase", "--require", req_file)
     assert code == 1

@@ -1,6 +1,8 @@
 """Context data model, CXT/JSON carriers, validation, registry, and merging."""
 
+import dataclasses
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +26,9 @@ from kgcontinuum import (
     validate_context,
 )
 
-from helpers import contexts_strategy, corpus
+from helpers import contexts_strategy, corpus, oracle_normalize_name, oracle_registry_from_contexts
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
 
 def tiny():
@@ -50,6 +54,21 @@ def test_normalize_idempotent(s):
 def test_normalize_collapses_runs():
     assert normalize_name("  a \t\t b\nc ") == "a b c"
     assert normalize_name("Name") == "Name"  # case preserved
+
+
+def test_normalize_matches_regex_oracle_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for glue in ("", "a"):
+        text = glue.join(every)
+        assert normalize_name(text) == oracle_normalize_name(text)
+    for ws in WHITESPACE:
+        for name in (ws, f"{ws}a", f"a{ws}", f"a{ws}b", f"a {ws} b", f"{ws}{ws}a{ws}\u3000{ws}b{ws}"):
+            assert normalize_name(name) == oracle_normalize_name(name), repr(ws)
+
+
+@given(st.text(alphabet=st.sampled_from(WHITESPACE) | st.characters()))
+def test_normalize_matches_regex_oracle(s):
+    assert normalize_name(s) == oracle_normalize_name(s)
 
 
 # --- constructor -------------------------------------------------------------
@@ -180,6 +199,19 @@ def test_parse_cxt_bad_count():
         parse_cxt(cxt_lines("B", "", "one", "1", "", "g", "m", "X"))
     assert err.value.code == "malformed-header"
     assert err.value.location == "line 3"
+
+
+@pytest.mark.parametrize("count", ["\u00b2", "\u0661", "\uff11", "1" * 10, "1" * 5000, "+1", "1_0"])
+def test_parse_cxt_accepts_only_short_ascii_counts(count):
+    with pytest.raises(InputError) as err:
+        parse_cxt(cxt_lines("B", "", "1", count, "", "g", "m", "X"))
+    assert err.value.code == "malformed-header"
+    assert err.value.location == "line 4"
+    assert len(str(err.value)) < 200
+
+
+def test_parse_cxt_accepts_nine_digit_counts():
+    assert parse_cxt(cxt_lines("B", "", "000000001", "01", "", "g", "m", "X")).incidence == ((True,),)
 
 
 def test_parse_cxt_missing_object_name_reports_missing_line():
@@ -373,6 +405,35 @@ def test_registry_from_contexts_tracks_first_holder():
     assert entry.introduced_by == "Wikidata"
     assert "PROV-O" in registry
     assert registry.get("unheard-of") is None
+
+
+def test_registry_from_contexts_dimension_conflict_on_shared_name():
+    a = FormalContext(Dimension.SEMANTIC_PROPERTY, ("g1", "g2"), ("shared", "own"), ((False, True), (True, False)))
+    b = FormalContext(Dimension.PRAGMATIC_AFFORDANCE, ("g1",), ("other", "shared"), ((True, True),))
+    with pytest.raises(InputError) as err:
+        registry_from_contexts([a, b])
+    assert err.value.code == "dimension-conflict"
+    assert err.value.location == "shared"
+    assert str(err.value) == "dimension-conflict: 'shared' is already registered under semantic-property (shared)"
+    same = registry_from_contexts([a, dataclasses.replace(b, dimension=Dimension.SEMANTIC_PROPERTY)])
+    assert [(e.name, e.dimension, e.introduced_by) for e in same.entries] == [
+        ("shared", Dimension.SEMANTIC_PROPERTY, "g2"),
+        ("own", Dimension.SEMANTIC_PROPERTY, "g1"),
+        ("other", Dimension.SEMANTIC_PROPERTY, "g1"),
+    ]
+
+
+@given(st.lists(st.tuples(contexts_strategy(max_objects=4, max_attributes=5), st.sampled_from(list(Dimension))), max_size=4))
+def test_registry_from_contexts_matches_one_registration_at_a_time(drawn):
+    contexts = [dataclasses.replace(ctx, dimension=d) for ctx, d in drawn]
+    try:
+        want = oracle_registry_from_contexts(contexts)
+    except InputError as exc:
+        with pytest.raises(InputError) as err:
+            registry_from_contexts(contexts)
+        assert str(err.value) == str(exc)
+    else:
+        assert registry_from_contexts(contexts) == want
 
 
 def test_registry_lookup_normalizes():

@@ -69,6 +69,13 @@ cost_model_docs = documents(
 )
 
 
+# str.isdigit() holds for every Nd digit and for some No ones such as '²', which
+# int() rejects; runs past 4,300 digits hit int()'s string length limit
+bad_counts = st.text(st.characters(categories=("Nd", "No")), min_size=1, max_size=3) | st.tuples(
+    st.sampled_from("0123456789"), st.sampled_from([10, 4300, 4301, 6000])
+).map(lambda d: d[0] * d[1])
+
+
 @st.composite
 def cxt_texts(draw):
     """A CXT document in which one header line may be wrong and the names and rows may not fit the counts."""
@@ -76,7 +83,7 @@ def cxt_texts(draw):
     lines = ["B", "", str(n_obj), str(n_att), ""]
     broken = draw(st.sampled_from([None] * len(lines) + list(range(len(lines)))))
     if broken is not None:
-        lines[broken] = draw(st.sampled_from(["\ufeffB", "B ", "A", " ", "x", "-1", "4", "2 "]))
+        lines[broken] = draw(st.sampled_from(["\ufeffB", "B ", "A", " ", "x", "-1", "4", "2 "]) | bad_counts)
     lines += draw(st.lists(names, min_size=n_obj + n_att, max_size=n_obj + n_att + 1))
     row = st.text(alphabet="X.", min_size=n_att, max_size=n_att)
     lines += draw(st.lists(row | row | st.text(alphabet="X. x", max_size=4), min_size=n_obj, max_size=n_obj + 1))
@@ -99,5 +106,16 @@ def test_parsers_raise_only_input_errors(parse, shaped, data):
     text = data.draw(st.text(max_size=40) | json_values.map(json.dumps) | shaped)
     try:
         parse(text)
+    except InputError:
+        pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=cxt_texts(), line=st.sampled_from([2, 3]), count=bad_counts)
+def test_cxt_count_lines_raise_only_input_errors(text, line, count):
+    lines = text.split("\n")
+    lines[line] = count
+    try:
+        parse_cxt("\n".join(lines))
     except InputError:
         pass

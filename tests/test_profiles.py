@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from kgcontinuum import (
     CostModel,
     Dimension,
+    FeatureRegistry,
     InputError,
     KgProfile,
     RequirementSet,
@@ -21,6 +22,7 @@ from kgcontinuum import (
     object_concept,
     parse_json_context,
     profile_of,
+    register_feature,
     registry_from_contexts,
     requirement_from_json,
     transformation_delta,
@@ -125,6 +127,36 @@ def test_fitness_registry_enforcement():
     # without a registry the same requirement is just an unmet gap
     unchecked = evaluate_fitness(profile, RequirementSet("c", "t", {PA: frozenset(["telepathy"])}))
     assert unchecked.gap[PA] == {"telepathy"}
+
+
+def test_unknown_feature_error_names_the_first_feature_in_order():
+    registry = registry_from_contexts(corpus().contexts.values())
+    profile = corpus_profile("EU ODP")
+    # code-point order: "Mid" sorts before "alpha"; semantic-property comes before pragmatic-affordance
+    unknown = [f"zeta {i}" for i in range(40)] + ["alpha", "Mid"]
+    with pytest.raises(InputError) as err:
+        evaluate_fitness(profile, RequirementSet("c", "t", {PA: frozenset(["SHACL", *unknown])}), registry)
+    assert str(err.value) == (
+        "unknown-feature: requirement feature 'Mid' is not registered under pragmatic-affordance (Mid)"
+    )
+    with pytest.raises(InputError) as err:
+        evaluate_fitness(profile, RequirementSet("c", "t", {PA: frozenset(["alpha"]), SP: frozenset(["zeta"])}), registry)
+    assert err.value.location == "zeta"
+    assert "under semantic-property" in err.value.message
+
+
+def test_feature_registered_under_another_dimension_is_unknown():
+    registry, _ = register_feature(FeatureRegistry(), "f", SP)
+    for dim in (SA, PP, PA):
+        for profile, requirement, role in [
+            (KgProfile("kg", {dim: frozenset(["f"])}), RequirementSet("c", "t", {}), "profile"),
+            (KgProfile("kg", {}), RequirementSet("c", "t", {dim: frozenset(["f"])}), "requirement"),
+        ]:
+            with pytest.raises(InputError) as err:
+                evaluate_fitness(profile, requirement, registry)
+            assert err.value.code == "unknown-feature"
+            assert err.value.message == f"{role} feature 'f' is not registered under {dim.value}"
+    assert evaluate_fitness(KgProfile("kg", {SP: frozenset([" f "])}), RequirementSet("c", "t", {SP: frozenset(["f"])}), registry).fit
 
 
 # --- cost ----------------------------------------------------------------------
@@ -270,6 +302,19 @@ def test_delta_registry_enforcement():
             registry,
         )
     assert err.value.code == "unknown-feature"
+
+
+def test_delta_registry_error_names_the_first_unknown_feature():
+    registry = registry_from_contexts(corpus().contexts.values())
+    source = corpus_profile("DBpedia")
+    with pytest.raises(InputError) as err:
+        transformation_delta(
+            source, RequirementSet("c", "t", {PP: frozenset(["PROV-O", "alchemy", *(f"quantum {i}" for i in range(40))])}), registry
+        )
+    assert str(err.value) == "unknown-feature: target feature 'alchemy' is not registered under pragmatic-property (alchemy)"
+    with pytest.raises(InputError) as err:
+        transformation_delta(KgProfile("kg", {PA: frozenset(["SHACL", "a", *(f"b {i}" for i in range(40))])}), source, registry)
+    assert str(err.value) == "unknown-feature: source feature 'a' is not registered under pragmatic-affordance (a)"
 
 
 # --- JSON codecs -------------------------------------------------------------------
