@@ -20,6 +20,8 @@ from .errors import InputError
 
 #: Longest count line parse_cxt accepts; far more objects than any document holds.
 _MAX_COUNT_DIGITS = 9
+# str.translate table deleting the two incidence cells; what is left of a row is invalid
+_ROW_CELLS = str.maketrans("", "", "X.")
 
 
 def normalize_name(name: str) -> str:
@@ -169,16 +171,13 @@ class FormalContext:
         unknown = set(feats) - set(objs)
         if unknown:
             raise InputError("unknown-object", f"feature sets for undeclared objects: {sorted(unknown)}")
+        # dicts as ordered sets: the first insertion fixes a name's column
         if attributes is None:
-            cols: list[str] = []
-            for o in objs:
-                for f in sorted(feats.get(o, frozenset())):
-                    if f not in cols:
-                        cols.append(f)
+            cols = dict.fromkeys(f for o in objs for f in sorted(feats.get(o, frozenset())))
         else:
-            cols = list(_unique_names(attributes, "attribute"))
+            cols = dict.fromkeys(_unique_names(attributes, "attribute"))
             for o, fs in feats.items():
-                stray = fs - set(cols)
+                stray = fs.difference(cols)
                 if stray:
                     raise InputError("unknown-attribute", f"features of {o!r} not declared: {sorted(stray)}")
         rows = tuple(tuple(c in feats.get(o, frozenset()) for c in cols) for o in objs)
@@ -228,8 +227,9 @@ def parse_cxt(text: str, dimension: Dimension = Dimension.COMBINED) -> FormalCon
         raise InputError("malformed-header", "fifth line must be blank", location="line 5")
 
     pos = 5
-    object_names: list[str] = []
-    attribute_names: list[str] = []
+    # dicts as ordered sets, so the duplicate check is one lookup
+    object_names: dict[str, None] = {}
+    attribute_names: dict[str, None] = {}
     for k in range(n_objects + n_attributes):
         kind = "object" if k < n_objects else "attribute"
         name = normalize_name(take(pos, f"{kind} name"))
@@ -238,23 +238,18 @@ def parse_cxt(text: str, dimension: Dimension = Dimension.COMBINED) -> FormalCon
             raise InputError("empty-name", f"{kind} name is empty", location=f"line {pos + 1}")
         if name in bucket:
             raise InputError(f"duplicate-{kind}", f"{kind} {name!r} already declared", location=f"line {pos + 1}")
-        bucket.append(name)
+        bucket[name] = None
         pos += 1
 
     rows: list[tuple[bool, ...]] = []
     for _ in range(n_objects):
         raw = take(pos, "incidence row").rstrip()
-        cells = []
-        for ch in raw:
-            if ch == "X":
-                cells.append(True)
-            elif ch == ".":
-                cells.append(False)
-            else:
-                raise InputError("invalid-row", f"rows may contain only 'X' and '.', got {ch!r}", location=f"line {pos + 1}")
-        if len(cells) != n_attributes:
-            raise InputError("count-mismatch", f"row has {len(cells)} cells, expected {n_attributes}", location=f"line {pos + 1}")
-        rows.append(tuple(cells))
+        invalid = raw.translate(_ROW_CELLS)
+        if invalid:
+            raise InputError("invalid-row", f"rows may contain only 'X' and '.', got {invalid[0]!r}", location=f"line {pos + 1}")
+        if len(raw) != n_attributes:
+            raise InputError("count-mismatch", f"row has {len(raw)} cells, expected {n_attributes}", location=f"line {pos + 1}")
+        rows.append(tuple(map("X".__eq__, raw)))
         pos += 1
 
     for idx in range(pos, len(lines)):

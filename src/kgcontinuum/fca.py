@@ -278,11 +278,8 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
 
 
 def meet(lattice: ConceptLattice, i: int, j: int) -> int:
-    """Index of the greatest lower bound of two concepts."""
-    a = lattice._concept_at(i).extent & lattice._concept_at(j).extent
-    ctx = lattice.context
-    emask = _extent_mask(ctx, _intent_mask(ctx, _obj_mask(ctx, a)))
-    return lattice.index_of_extent(_obj_names(ctx, emask))
+    """Index of the greatest lower bound of two concepts: extents are closed under intersection."""
+    return lattice.index_of_extent(lattice._concept_at(i).extent & lattice._concept_at(j).extent)
 
 
 def join(lattice: ConceptLattice, i: int, j: int) -> int:

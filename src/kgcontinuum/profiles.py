@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -14,12 +14,21 @@ from .fca import ConceptLattice, derive_attributes, derive_objects
 _DIMENSION_ORDER = {d: i for i, d in enumerate(Dimension)}
 
 
+def _dimensions(*maps: Mapping[Dimension, object]) -> list[Dimension]:
+    """Every key of the maps once, in Dimension declaration order; a key that is not a Dimension raises KeyError."""
+    return sorted(set().union(*maps), key=_DIMENSION_ORDER.__getitem__)
+
+
+def _sides(
+    have: Mapping[Dimension, frozenset[str]], want: Mapping[Dimension, frozenset[str]]
+) -> Iterator[tuple[Dimension, frozenset[str], frozenset[str]]]:
+    """(dimension, have, want) for every dimension either side names; a side that lacks it is empty."""
+    for d in _dimensions(have, want):
+        yield d, have.get(d, frozenset()), want.get(d, frozenset())
+
+
 def _freeze(features: Mapping[Dimension, Iterable[str]]) -> Mapping[Dimension, frozenset[str]]:
-    frozen = {
-        d: frozenset(normalize_name(f) for f in fs)
-        for d, fs in sorted(features.items(), key=lambda kv: _DIMENSION_ORDER[kv[0]])
-    }
-    return MappingProxyType(frozen)
+    return MappingProxyType({d: frozenset(map(normalize_name, features[d])) for d in _dimensions(features)})
 
 
 @dataclass(frozen=True)
@@ -91,13 +100,11 @@ def profile_of(contexts: Iterable[FormalContext], kg: str) -> KgProfile:
     """Collect one KG's features from per-dimension contexts."""
     kg = normalize_name(kg)
     features: dict[Dimension, set[str]] = {}
-    seen = False
     for ctx in contexts:
-        seen = True
         features.setdefault(ctx.dimension, set()).update(ctx.features_of(kg))
-    if not seen:
+    if not features:
         raise InputError("missing-input", "no contexts supplied")
-    return KgProfile(kg, {d: frozenset(s) for d, s in features.items()})
+    return KgProfile(kg, features)
 
 
 def _check_registered(role: str, features: Mapping[Dimension, frozenset[str]], registry: FeatureRegistry) -> None:
@@ -127,17 +134,14 @@ def evaluate_fitness(
     if registry is not None:
         _check_registered("profile", profile.features, registry)
         _check_registered("requirement", requirement.required, registry)
-    dims = set(profile.features) | set(requirement.required)
     satisfied: dict[Dimension, frozenset[str]] = {}
     gap: dict[Dimension, frozenset[str]] = {}
     surplus: dict[Dimension, frozenset[str]] = {}
-    for dim in sorted(dims, key=_DIMENSION_ORDER.get):
-        required = requirement.required.get(dim, frozenset())
-        exhibited = profile.features.get(dim, frozenset())
+    for dim, exhibited, required in _sides(profile.features, requirement.required):
         satisfied[dim] = required & exhibited
         gap[dim] = required - exhibited
         surplus[dim] = exhibited - required
-    fit = all(not g for g in gap.values())
+    fit = not any(gap.values())
     return FitnessReport(MappingProxyType(satisfied), MappingProxyType(gap), MappingProxyType(surplus), fit)
 
 
@@ -160,9 +164,7 @@ def gap_cost(report: FitnessReport, model: CostModel | None = None) -> float:
 
 def object_concept(lattice: ConceptLattice, kg: str) -> int:
     """Index of the most specific concept whose extent contains the KG."""
-    ctx = lattice.context
-    extent = derive_objects(ctx, derive_attributes(ctx, [normalize_name(kg)]))
-    return lattice.index_of_extent(extent)
+    return common_position(lattice, [kg])
 
 
 def common_position(lattice: ConceptLattice, kgs: Iterable[str]) -> int:
@@ -186,25 +188,15 @@ def transformation_delta(
     Against a RequirementSet only missing features count; nothing is removed.
     Against another profile the delta is an exact set difference both ways.
     """
+    removing = isinstance(target, KgProfile)
+    wanted = target.features if removing else target.required
     if registry is not None:
         _check_registered("source", source.features, registry)
-        other = target.features if isinstance(target, KgProfile) else target.required
-        _check_registered("target", other, registry)
-    if isinstance(target, RequirementSet):
-        wanted = target.required
-        removing = False
-    else:
-        wanted = target.features
-        removing = True
-    dims = set(source.features) | set(wanted)
-    out: dict[Dimension, FeatureDelta] = {}
-    for dim in sorted(dims, key=_DIMENSION_ORDER.get):
-        have = source.features.get(dim, frozenset())
-        want = wanted.get(dim, frozenset())
-        add = want - have
-        remove = have - want if removing else frozenset()
-        out[dim] = FeatureDelta(add, remove)
-    return MappingProxyType(out)
+        _check_registered("target", wanted, registry)
+    return MappingProxyType({
+        dim: FeatureDelta(want - have, have - want if removing else frozenset())
+        for dim, have, want in _sides(source.features, wanted)
+    })
 
 
 # --- JSON codecs --------------------------------------------------------------
@@ -260,10 +252,7 @@ def cost_model_from_json(text: str) -> CostModel:
 
 
 def _features_json(features: Mapping[Dimension, frozenset[str]]) -> dict[str, list[str]]:
-    return {
-        d.value: sorted(feats)
-        for d, feats in sorted(features.items(), key=lambda kv: _DIMENSION_ORDER[kv[0]])
-    }
+    return {d.value: sorted(features[d]) for d in _dimensions(features)}
 
 
 def fitness_json(report: FitnessReport, *, kg: str, requirement: RequirementSet, cost: float | None = None) -> dict:
@@ -288,7 +277,7 @@ def delta_json(delta: Mapping[Dimension, FeatureDelta], *, source: str, target: 
         "source": source,
         "target": target,
         "delta": {
-            d.value: {"add": sorted(fd.add), "remove": sorted(fd.remove)}
-            for d, fd in sorted(delta.items(), key=lambda kv: _DIMENSION_ORDER[kv[0]])
+            d.value: {"add": sorted(delta[d].add), "remove": sorted(delta[d].remove)}
+            for d in _dimensions(delta)
         },
     }

@@ -9,11 +9,23 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import reprlib
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from kgcontinuum import Dimension, FeatureRegistry, FormalContext, Implication, load_corpus, register_feature
+from kgcontinuum import (
+    Dimension,
+    FeatureDelta,
+    FeatureRegistry,
+    FormalContext,
+    Implication,
+    InputError,
+    RequirementSet,
+    load_corpus,
+    normalize_name,
+    register_feature,
+)
 
 
 # verdict lines collected by the acceptance suite; the conftest summary hook
@@ -42,6 +54,140 @@ def oracle_registry_from_contexts(contexts):
             first = next((o for o, row in zip(ctx.objects, ctx.incidence) if row[j]), None)
             registry, _ = register_feature(registry, attr, ctx.dimension, introduced_by=first)
     return registry
+
+
+def oracle_parse_cxt(text, dimension=Dimension.COMBINED):
+    """The package's CXT parser before its ordered-set name check and translate row check.
+
+    Names go in lists scanned for duplicates and rows are read one character
+    at a time; errors carry the same code, message and location.
+    """
+    lines = text.split("\n")
+    if len(lines) > 1 and lines[-1] == "":
+        lines.pop()
+
+    def take(idx, what):
+        if idx >= len(lines):
+            raise InputError("count-mismatch", f"missing {what}", location=f"line {idx + 1}")
+        return lines[idx]
+
+    if take(0, "format marker").rstrip() != "B":
+        raise InputError("malformed-header", "first line must be 'B'", location="line 1")
+    if take(1, "separator").strip():
+        raise InputError("malformed-header", "second line must be blank", location="line 2")
+
+    def count(idx, what):
+        raw = take(idx, what).strip()
+        if not (raw.isascii() and raw.isdigit() and len(raw) <= 9):
+            raise InputError(
+                "malformed-header",
+                f"{what} must be a decimal count of at most 9 ASCII digits, got {reprlib.repr(raw)}",
+                location=f"line {idx + 1}",
+            )
+        return int(raw)
+
+    n_objects = count(2, "object count")
+    n_attributes = count(3, "attribute count")
+    if take(4, "separator").strip():
+        raise InputError("malformed-header", "fifth line must be blank", location="line 5")
+
+    pos = 5
+    object_names = []
+    attribute_names = []
+    for k in range(n_objects + n_attributes):
+        kind = "object" if k < n_objects else "attribute"
+        name = normalize_name(take(pos, f"{kind} name"))
+        bucket = object_names if kind == "object" else attribute_names
+        if not name:
+            raise InputError("empty-name", f"{kind} name is empty", location=f"line {pos + 1}")
+        if name in bucket:
+            raise InputError(f"duplicate-{kind}", f"{kind} {name!r} already declared", location=f"line {pos + 1}")
+        bucket.append(name)
+        pos += 1
+
+    rows = []
+    for _ in range(n_objects):
+        raw = take(pos, "incidence row").rstrip()
+        cells = []
+        for ch in raw:
+            if ch == "X":
+                cells.append(True)
+            elif ch == ".":
+                cells.append(False)
+            else:
+                raise InputError("invalid-row", f"rows may contain only 'X' and '.', got {ch!r}", location=f"line {pos + 1}")
+        if len(cells) != n_attributes:
+            raise InputError("count-mismatch", f"row has {len(cells)} cells, expected {n_attributes}", location=f"line {pos + 1}")
+        rows.append(tuple(cells))
+        pos += 1
+
+    for idx in range(pos, len(lines)):
+        if lines[idx].strip():
+            raise InputError("trailing-content", "unexpected content after incidence rows", location=f"line {idx + 1}")
+
+    return FormalContext(dimension, tuple(object_names), tuple(attribute_names), tuple(rows))
+
+
+# fitness and delta as the package computed them before one shared per-dimension
+# comparison: each sorts the union of both sides' keys and loops on its own
+_DIMENSION_ORDER = {d: i for i, d in enumerate(Dimension)}
+
+
+def oracle_evaluate_fitness(profile, requirement):
+    """(satisfied, gap, surplus, fit) with each map a dict in report order."""
+    dims = set(profile.features) | set(requirement.required)
+    satisfied, gap, surplus = {}, {}, {}
+    for dim in sorted(dims, key=_DIMENSION_ORDER.get):
+        required = requirement.required.get(dim, frozenset())
+        exhibited = profile.features.get(dim, frozenset())
+        satisfied[dim] = required & exhibited
+        gap[dim] = required - exhibited
+        surplus[dim] = exhibited - required
+    return satisfied, gap, surplus, all(not g for g in gap.values())
+
+
+def oracle_transformation_delta(source, target):
+    """Per-dimension FeatureDelta dict in report order."""
+    if isinstance(target, RequirementSet):
+        wanted, removing = target.required, False
+    else:
+        wanted, removing = target.features, True
+    out = {}
+    for dim in sorted(set(source.features) | set(wanted), key=_DIMENSION_ORDER.get):
+        have = source.features.get(dim, frozenset())
+        want = wanted.get(dim, frozenset())
+        out[dim] = FeatureDelta(want - have, have - want if removing else frozenset())
+    return out
+
+
+def _oracle_features_json(features):
+    return {d.value: sorted(feats) for d, feats in sorted(features.items(), key=lambda kv: _DIMENSION_ORDER[kv[0]])}
+
+
+def oracle_fitness_json(report, *, kg, requirement, cost=None):
+    doc = {
+        "kg": kg,
+        "community": requirement.community,
+        "task": requirement.task,
+        "fit": report.fit,
+        "satisfied": _oracle_features_json(report.satisfied),
+        "gap": _oracle_features_json(report.gap),
+        "surplus": _oracle_features_json(report.surplus),
+    }
+    if cost is not None:
+        doc["cost"] = cost
+    return doc
+
+
+def oracle_delta_json(delta, *, source, target):
+    return {
+        "source": source,
+        "target": target,
+        "delta": {
+            d.value: {"add": sorted(fd.add), "remove": sorted(fd.remove)}
+            for d, fd in sorted(delta.items(), key=lambda kv: _DIMENSION_ORDER[kv[0]])
+        },
+    }
 
 
 def features_map(ctx):
@@ -305,6 +451,21 @@ def contexts_strategy(draw, max_objects=7, max_attributes=7):
         tuple(f"m{j}" for j in range(n_att)),
         tuple(tuple(r) for r in rows),
     )
+
+
+# names that differ only in whitespace collapse to one feature on construction
+FEATURE_NAMES = ["a", " a ", "b", "c  d", "c d", "Mid", "alpha", "z"]
+
+
+def dimension_maps(values, dimensions=tuple(Dimension)):
+    """Dicts keyed by a random subset of the dimensions, inserted in random order."""
+    return st.lists(st.sampled_from(dimensions), unique=True).flatmap(
+        lambda dims: st.tuples(*(values for _ in dims)).map(lambda vs: dict(zip(dims, vs)))
+    )
+
+
+feature_sets = st.frozensets(st.sampled_from(FEATURE_NAMES))
+feature_maps = dimension_maps(feature_sets)
 
 
 def subset_strategy(pool):

@@ -13,6 +13,8 @@ from kgcontinuum import (
     requirement_from_json,
 )
 
+from helpers import oracle_parse_cxt
+
 TAGS = ["combined", "semantic-property", "pragmatic-affordance", "no-such-dimension"]
 
 json_values = st.recursive(
@@ -119,3 +121,18 @@ def test_cxt_count_lines_raise_only_input_errors(text, line, count):
         parse_cxt("\n".join(lines))
     except InputError:
         pass
+
+
+def parsed(parse, text):
+    """The context's fields, or the (code, message, location) of the InputError."""
+    try:
+        ctx = parse(text)
+    except InputError as err:
+        return err.code, err.message, err.location
+    return ctx.objects, ctx.attributes, ctx.incidence
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=cxt_texts())
+def test_parse_cxt_matches_the_character_loop_parser(text):
+    assert parsed(parse_cxt, text) == parsed(oracle_parse_cxt, text)

@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 from kgcontinuum import (
     CostModel,
     Dimension,
+    FeatureDelta,
     FeatureRegistry,
+    FitnessReport,
     InputError,
     KgProfile,
     RequirementSet,
@@ -28,7 +30,17 @@ from kgcontinuum import (
     transformation_delta,
 )
 
-from helpers import corpus, features_map
+from helpers import (
+    corpus,
+    dimension_maps,
+    feature_maps,
+    feature_sets,
+    features_map,
+    oracle_delta_json,
+    oracle_evaluate_fitness,
+    oracle_fitness_json,
+    oracle_transformation_delta,
+)
 
 SP = Dimension.SEMANTIC_PROPERTY
 SA = Dimension.SEMANTIC_AFFORDANCE
@@ -397,3 +409,76 @@ def test_delta_json_shape():
     assert doc["delta"]["pragmatic-property"] == {"add": ["PROV-O"], "remove": ["OAI-ORE aggregation"]}
     dims = list(doc["delta"])
     assert dims == sorted(dims, key=[d.value for d in Dimension].index)
+
+
+# --- one per-dimension comparison ---------------------------------------------------
+
+
+def dumped(doc):
+    return json.dumps(doc, ensure_ascii=False)
+
+
+@given(have=feature_maps, want=feature_maps, other=feature_maps, cost=st.none() | st.floats(0, 10))
+def test_fitness_and_delta_match_the_per_function_loops(have, want, other, cost):
+    profile = KgProfile("kg", have)
+    requirement = RequirementSet("c", "t", want)
+    assert list(profile.features) == [d for d in Dimension if d in have]
+    assert list(requirement.required) == [d for d in Dimension if d in want]
+    report = evaluate_fitness(profile, requirement)
+    *maps, fit = oracle_evaluate_fitness(profile, requirement)
+    assert [list(m.items()) for m in (report.satisfied, report.gap, report.surplus)] == [list(m.items()) for m in maps]
+    assert report.fit == fit
+    assert dumped(fitness_json(report, kg="kg", requirement=requirement, cost=cost)) == dumped(
+        oracle_fitness_json(report, kg="kg", requirement=requirement, cost=cost)
+    )
+    for target in (requirement, KgProfile("other", other)):
+        delta = transformation_delta(profile, target)
+        assert list(delta.items()) == list(oracle_transformation_delta(profile, target).items())
+        assert dumped(delta_json(delta, source="kg", target="other")) == dumped(
+            oracle_delta_json(delta, source="kg", target="other")
+        )
+
+
+@given(
+    satisfied=feature_maps,
+    gap=feature_maps,
+    surplus=feature_maps,
+    fit=st.booleans(),
+    delta=dimension_maps(st.builds(FeatureDelta, feature_sets, feature_sets)),
+)
+def test_json_writers_order_hand_built_maps_like_the_sorted_writers(satisfied, gap, surplus, fit, delta):
+    report = FitnessReport(satisfied, gap, surplus, fit)
+    requirement = RequirementSet("c", "t", {})
+    assert dumped(fitness_json(report, kg="kg", requirement=requirement)) == dumped(
+        oracle_fitness_json(report, kg="kg", requirement=requirement)
+    )
+    assert dumped(delta_json(delta, source="s", target="t")) == dumped(oracle_delta_json(delta, source="s", target="t"))
+
+
+# a dimension tag where a Dimension belongs, beside a real key
+STRAY = {SP: frozenset(["a"]), "semantic-property": frozenset(["b"])}
+
+
+def stray_profile():
+    """A profile whose features map skips the constructor, as a hand-built or mutated one can."""
+    profile = KgProfile("kg", {})
+    object.__setattr__(profile, "features", STRAY)
+    return profile
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: KgProfile("kg", STRAY),
+        lambda: RequirementSet("c", "t", STRAY),
+        lambda: evaluate_fitness(stray_profile(), RequirementSet("c", "t", {})),
+        lambda: transformation_delta(stray_profile(), RequirementSet("c", "t", {})),
+        lambda: transformation_delta(KgProfile("kg", {}), stray_profile()),
+        lambda: fitness_json(FitnessReport(STRAY, {}, {}, True), kg="kg", requirement=RequirementSet("c", "t", {})),
+        lambda: delta_json({d: FeatureDelta(fs, frozenset()) for d, fs in STRAY.items()}, source="s", target="t"),
+    ],
+    ids=["KgProfile", "RequirementSet", "evaluate_fitness", "delta-to-requirement", "delta-to-profile", "fitness_json", "delta_json"],
+)
+def test_non_dimension_key_raises(call):
+    with pytest.raises(KeyError):
+        call()
