@@ -40,7 +40,7 @@ from .profiles import (
     requirement_from_json,
     transformation_delta,
 )
-from .render import legend, to_dot
+from .render import EMPTY_MARK, legend, to_dot
 
 _DIMENSION_TAGS = [d.value for d in Dimension]
 
@@ -167,24 +167,12 @@ def _cmd_dot(args) -> int:
 
 def _cmd_implications(args) -> int:
     ctx = _single_context(args)
-    basis = implication_basis(ctx)
     order = ctx.attribute_index.__getitem__
+    rules = [(sorted(imp.premise, key=order), sorted(imp.conclusion, key=order)) for imp in implication_basis(ctx)]
     if args.format == "json":
-        doc = [
-            {
-                "premise": sorted(imp.premise, key=order),
-                "conclusion": sorted(imp.conclusion, key=order),
-            }
-            for imp in basis
-        ]
-        _emit(args, _json_text(doc))
+        _emit(args, _json_text([{"premise": p, "conclusion": c} for p, c in rules]))
     else:
-        lines = []
-        for imp in basis:
-            premise = ", ".join(sorted(imp.premise, key=order)) or "---"
-            conclusion = ", ".join(sorted(imp.conclusion, key=order)) or "---"
-            lines.append(f"{premise} -> {conclusion}")
-        _emit(args, "\n".join(lines) + "\n" if lines else "")
+        _emit(args, "".join(f"{', '.join(p) or EMPTY_MARK} -> {', '.join(c) or EMPTY_MARK}\n" for p, c in rules))
     return 0
 
 

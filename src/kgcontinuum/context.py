@@ -90,7 +90,7 @@ class FormalContext:
     def __post_init__(self) -> None:
         objects = _unique_names(self.objects, "object")
         attributes = _unique_names(self.attributes, "attribute")
-        rows = tuple(tuple(bool(v) for v in row) for row in self.incidence)
+        rows = tuple(tuple(map(bool, row)) for row in self.incidence)
         if len(rows) != len(objects):
             raise InputError(
                 "count-mismatch",
@@ -315,12 +315,10 @@ def parse_json_context(text: str) -> FormalContext:
     inc = doc["incidence"]
     if not isinstance(inc, list):
         raise InputError("schema-violation", "incidence must be a list of rows")
-    rows = []
     for i, row in enumerate(inc):
         if not isinstance(row, list) or not all(isinstance(v, (bool, int)) and v in (0, 1) for v in row):
             raise InputError("schema-violation", "incidence rows must contain only 0 and 1", location=f"row {i}")
-        rows.append(tuple(bool(v) for v in row))
-    return FormalContext(dimension, tuple(doc["objects"]), tuple(doc["attributes"]), tuple(rows))
+    return FormalContext(dimension, doc["objects"], doc["attributes"], inc)
 
 
 def serialize_json_context(ctx: FormalContext) -> str:
@@ -363,22 +361,18 @@ def validate_context(ctx: FormalContext) -> ValidationReport:
     exhibited by every object or by none.
     """
     warnings = []
-    for j, attr in enumerate(ctx.attributes):
-        column = [row[j] for row in ctx.incidence]
-        if not any(column):
+    for attr, count in attribute_frequency(ctx).items():
+        if count == 0:
             warnings.append(Finding("vacuous-attribute", f"no object exhibits {attr!r}", attr))
-        elif all(column):
+        elif count == len(ctx.objects):
             warnings.append(Finding("universal-attribute", f"every object exhibits {attr!r}", attr))
     return ValidationReport(errors=(), warnings=tuple(warnings))
 
 
 def attribute_frequency(ctx: FormalContext) -> Mapping[str, int]:
     """Number of objects exhibiting each attribute, keyed by attribute name."""
-    freq = {a: 0 for a in ctx.attributes}
-    for row in ctx.incidence:
-        for a, v in zip(ctx.attributes, row):
-            if v:
-                freq[a] += 1
+    freq = dict.fromkeys(ctx.attributes, 0)  # zip(*()) yields no columns when there are no objects
+    freq.update(zip(ctx.attributes, map(sum, zip(*ctx.incidence))))
     return MappingProxyType(freq)
 
 
@@ -489,12 +483,13 @@ def register_feature(
     name = normalize_name(name)
     if _registered_entry(registry._by_name, name, dimension) is not None:
         return registry, RetroCheckReport(name, dimension, ())
-    pending: list[str] = []
-    for ctx in contexts:
-        if ctx.dimension is dimension and name not in ctx.attribute_index:
-            for obj in ctx.objects:
-                if obj not in pending:
-                    pending.append(obj)
+    # a dict as an ordered set keeps each object once, where it was first seen
+    pending = dict.fromkeys(
+        obj
+        for ctx in contexts
+        if ctx.dimension is dimension and name not in ctx.attribute_index
+        for obj in ctx.objects
+    )
     entry = RegistryEntry(name, dimension, introduced_by, description)
     return FeatureRegistry(registry.entries + (entry,)), RetroCheckReport(name, dimension, tuple(pending))
 

@@ -77,10 +77,7 @@ def load_corpus() -> ProvenanceCorpus:
     contexts: dict[Dimension, FormalContext] = {}
     for raw_ctx in doc["contexts"]:
         ctx = FormalContext(
-            Dimension.from_tag(raw_ctx["dimension"]),
-            tuple(raw_ctx["objects"]),
-            tuple(raw_ctx["attributes"]),
-            tuple(tuple(bool(v) for v in row) for row in raw_ctx["incidence"]),
+            Dimension.from_tag(raw_ctx["dimension"]), raw_ctx["objects"], raw_ctx["attributes"], raw_ctx["incidence"]
         )
         contexts[ctx.dimension] = ctx
     golden = {

@@ -164,7 +164,6 @@ def _concept_masks(ctx: FormalContext) -> list[tuple[int, int]]:
     """
     n = len(ctx.attributes)
     full = (1 << n) - 1
-    rows = ctx.row_masks
     attrs = [(j, (1 << j) - 1, column) for j, column in enumerate(ctx.column_masks)]
     extent = (1 << len(ctx.objects)) - 1
     found = []
@@ -178,7 +177,7 @@ def _concept_masks(ctx: FormalContext) -> list[tuple[int, int]]:
             if failed[j] & low & outside:
                 continue
             child = extent & column
-            closed = reduce(and_, compress(rows, _bits(child)), full)
+            closed = _intent_mask(ctx, child)
             if closed & low & outside:
                 failed[j] = closed
             else:
@@ -284,10 +283,8 @@ def meet(lattice: ConceptLattice, i: int, j: int) -> int:
 
 def join(lattice: ConceptLattice, i: int, j: int) -> int:
     """Index of the least upper bound of two concepts."""
-    b = lattice._concept_at(i).intent & lattice._concept_at(j).intent
-    ctx = lattice.context
-    emask = _extent_mask(ctx, _attr_mask(ctx, b))
-    return lattice.index_of_extent(_obj_names(ctx, emask))
+    intent = lattice._concept_at(i).intent & lattice._concept_at(j).intent
+    return lattice.index_of_extent(derive_objects(lattice.context, intent))
 
 
 def lattice_json(lattice: ConceptLattice) -> dict:

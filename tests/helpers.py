@@ -56,6 +56,28 @@ def oracle_registry_from_contexts(contexts):
     return registry
 
 
+def oracle_attribute_frequency(ctx):
+    """Count each attribute's objects one cell at a time (the package's count before the column sums)."""
+    freq = {a: 0 for a in ctx.attributes}
+    for row in ctx.incidence:
+        for a, v in zip(ctx.attributes, row):
+            if v:
+                freq[a] += 1
+    return freq
+
+
+def oracle_validate_context(ctx):
+    """(code, message, location) of each warning, from an any/all scan per column (the package's check before it read the counts)."""
+    warnings = []
+    for j, attr in enumerate(ctx.attributes):
+        column = [row[j] for row in ctx.incidence]
+        if not any(column):
+            warnings.append(("vacuous-attribute", f"no object exhibits {attr!r}", attr))
+        elif all(column):
+            warnings.append(("universal-attribute", f"every object exhibits {attr!r}", attr))
+    return warnings
+
+
 def oracle_parse_cxt(text, dimension=Dimension.COMBINED):
     """The package's CXT parser before its ordered-set name check and translate row check.
 

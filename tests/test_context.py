@@ -5,7 +5,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kgcontinuum import (
     Dimension,
@@ -26,7 +26,14 @@ from kgcontinuum import (
     validate_context,
 )
 
-from helpers import contexts_strategy, corpus, oracle_normalize_name, oracle_registry_from_contexts
+from helpers import (
+    contexts_strategy,
+    corpus,
+    oracle_attribute_frequency,
+    oracle_normalize_name,
+    oracle_registry_from_contexts,
+    oracle_validate_context,
+)
 
 WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
@@ -308,6 +315,28 @@ def test_parse_json_rejects_duplicate_object():
     assert err.value.code == "duplicate-object"
 
 
+def assert_bool_rows(ctx):
+    assert type(ctx.incidence) is tuple
+    for row in ctx.incidence:
+        assert type(row) is tuple
+        assert all(type(v) is bool for v in row)
+
+
+def test_parse_json_cells_become_bool_tuples():
+    doc = {"dimension": "combined", "objects": ["g", "h"], "attributes": ["m", "n"], "incidence": [[1, 0], [True, 1]]}
+    ctx = parse_json_context(json.dumps(doc))
+    assert_bool_rows(ctx)
+    assert ctx.incidence == ((True, False), (True, True))
+    assert (ctx.objects, ctx.attributes) == (("g", "h"), ("m", "n"))
+
+
+def test_corpus_cells_are_bool_tuples():
+    loaded = corpus()
+    for ctx in (*loaded.contexts.values(), loaded.combined):
+        assert_bool_rows(ctx)
+        assert type(ctx.objects) is tuple and type(ctx.attributes) is tuple
+
+
 def test_parse_json_rejects_nonbinary_incidence():
     doc = {"dimension": "combined", "objects": ["g"], "attributes": ["m"], "incidence": [[2]]}
     with pytest.raises(InputError) as err:
@@ -337,6 +366,28 @@ def test_validate_corpus_semantic_affordances_flags_attribution():
     assert [(f.code, f.location) for f in report.warnings] == [("universal-attribute", "attribution")]
 
 
+NO_OBJECTS = FormalContext(Dimension.COMBINED, (), ("m1", "m2"), ())
+NO_ATTRIBUTES = FormalContext(Dimension.COMBINED, ("g1", "g2"), (), ((), ()))
+
+
+@example(NO_OBJECTS)
+@example(NO_ATTRIBUTES)
+@given(contexts_strategy())
+def test_validate_and_frequency_match_the_cell_scans(ctx):
+    assert dict(attribute_frequency(ctx)) == oracle_attribute_frequency(ctx)
+    report = validate_context(ctx)
+    assert report.errors == ()
+    assert [(f.code, f.message, f.location) for f in report.warnings] == oracle_validate_context(ctx)
+
+
+def test_context_without_objects_reports_every_attribute_vacuous():
+    assert dict(attribute_frequency(NO_OBJECTS)) == {"m1": 0, "m2": 0}
+    assert [(f.code, f.location) for f in validate_context(NO_OBJECTS).warnings] == [
+        ("vacuous-attribute", "m1"),
+        ("vacuous-attribute", "m2"),
+    ]
+
+
 def test_frequency_counts():
     freq = attribute_frequency(tiny())
     assert dict(freq) == {"m1": 2, "m2": 1}
@@ -363,6 +414,14 @@ def test_register_feature_reports_pending_objects():
     registry2, report2 = register_feature(FeatureRegistry(), "m3", Dimension.SEMANTIC_PROPERTY, [sem])
     assert report2.pending == ("g1", "g2", "g3")
     assert registry2.get("m3").dimension is Dimension.SEMANTIC_PROPERTY
+
+
+def test_register_feature_lists_shared_objects_once_in_first_seen_order():
+    first = FormalContext(Dimension.SEMANTIC_PROPERTY, ("g2", "g1"), ("m",), ((True,), (False,)))
+    other = FormalContext(Dimension.PRAGMATIC_PROPERTY, ("g0",), ("m",), ((True,),))
+    second = FormalContext(Dimension.SEMANTIC_PROPERTY, ("g3", "g1", "g2"), ("n",), ((True,), (True,), (False,)))
+    _, report = register_feature(FeatureRegistry(), "new", Dimension.SEMANTIC_PROPERTY, [first, other, second, first])
+    assert report.pending == ("g2", "g1", "g3")
 
 
 def test_register_feature_ignores_other_dimensions():

@@ -1,19 +1,28 @@
-"""Parsers of outside input raise InputError and nothing else, whatever the text."""
+"""Parsers of outside input raise InputError and nothing else, whatever the text; the CLI turns that into exit codes."""
 
+import dataclasses
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgcontinuum import (
+    PER_DIMENSION,
     InputError,
     cost_model_from_json,
     parse_cxt,
     parse_json_context,
     requirement_from_json,
+    serialize_cxt,
+    serialize_json_context,
 )
+from kgcontinuum.cli import main
 
-from helpers import oracle_parse_cxt
+from helpers import contexts_strategy, oracle_parse_cxt
 
 TAGS = ["combined", "semantic-property", "pragmatic-affordance", "no-such-dimension"]
 
@@ -136,3 +145,77 @@ def parsed(parse, text):
 @given(text=cxt_texts())
 def test_parse_cxt_matches_the_character_loop_parser(text):
     assert parsed(parse_cxt, text) == parsed(oracle_parse_cxt, text)
+
+
+# --- the CLI over generated files ------------------------------------------------
+
+
+@st.composite
+def context_files(draw):
+    """Context file text, well-formed or not, with the context whose names a --kg or requirement may use."""
+    ctx = draw(contexts_strategy(max_objects=5, max_attributes=5))
+    ctx = dataclasses.replace(ctx, dimension=draw(st.sampled_from(PER_DIMENSION)))
+    well_formed = st.sampled_from([serialize_cxt(ctx), serialize_json_context(ctx)])
+    return draw(well_formed | well_formed | cxt_texts() | context_docs), ctx
+
+
+@st.composite
+def requirement_texts(draw, ctx):
+    """A requirement on the context's own attributes, or any requirement document."""
+    required = {ctx.dimension.value: draw(st.lists(st.sampled_from(ctx.attributes), max_size=3))} if ctx.attributes else {}
+    return draw(st.just(json.dumps({"community": "c", "task": "t", "required": required})) | requirement_docs)
+
+
+cost_model_texts = st.sampled_from(['{"add_weight": 2, "remove_weight": 0.5}', '{"overrides": {"m0": 3}}']) | cost_model_docs
+
+
+def _reject_non_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_cli_main_exits_cleanly_on_generated_files(data):
+    text, ctx = data.draw(context_files())
+    fitting = None if text.lstrip().startswith("{") else ctx.dimension.value  # JSON carries its own dimension
+    dimension = data.draw(st.sampled_from([fitting, fitting, None, ctx.dimension.value, "combined"]))
+    kg = data.draw(st.sampled_from(ctx.objects) | st.sampled_from(ctx.objects) | names if ctx.objects else names)
+    with tempfile.TemporaryDirectory() as tmp:
+        context, require, cost = (Path(tmp, name) for name in ("context", "require", "cost"))
+        context.write_text(text, encoding="utf-8")
+        require.write_text(data.draw(requirement_texts(ctx)), encoding="utf-8")
+        cost.write_text(data.draw(cost_model_texts), encoding="utf-8")
+        source = ["--context", str(context)] + (["--dimension", dimension] if dimension else [])
+        fit = ["fit", *source, "--kg", kg, "--require", str(require)]
+        runs = [
+            (["lattice", *source], True),
+            (["legend", *source, "--format", "md"], False),
+            (["legend", *source, "--format", "csv"], False),
+            (["dot", *source, "--labels", "id+intent"], False),
+            (["implications", *source, "--format", "json"], True),
+            (["implications", *source, "--format", "text"], False),
+            (["validate", *source], True),
+            (fit, True),
+            ([*fit, "--cost-model", str(cost)], True),
+        ]
+        for argv, writes_json in runs:
+            code, out, err = run_main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 0:
+                assert err == ""
+                if writes_json:
+                    json.loads(out, parse_constant=_reject_non_json)
+            elif argv[0] == "validate" and err == "":
+                # a file that does not parse is a finding of its own, reported on stdout
+                assert code == 1
+                assert len(json.loads(out, parse_constant=_reject_non_json)["errors"]) == 1
+            else:
+                assert out == ""
+                assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, (argv, err)
