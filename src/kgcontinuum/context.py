@@ -34,7 +34,16 @@ def normalize_name(name: str) -> str:
 
 
 class Dimension(Enum):
-    """Characterisation axis an attribute set belongs to."""
+    """Characterisation axis an attribute set belongs to.
+
+    Members hash by identity, so a hash differs between processes; nothing
+    that is written out depends on it, because every report lists
+    dimensions in declaration order.
+    """
+
+    # Enum.__hash__ is Python code run on every dict and set lookup; members are
+    # singletons that compare by identity, so the identity hash agrees with ==
+    __hash__ = object.__hash__
 
     SEMANTIC_PROPERTY = "semantic-property"
     SEMANTIC_AFFORDANCE = "semantic-affordance"
@@ -301,6 +310,9 @@ def json_object(text: str, required: Iterable[str] = (), allowed: Iterable[str] 
 
 
 _JSON_KEYS = ("dimension", "objects", "attributes", "incidence")
+# a JSON incidence cell is an int or a bool equal to 0 or 1
+_CELL_TYPES = frozenset((bool, int))
+_CELL_VALUES = frozenset((0, 1))
 
 
 def parse_json_context(text: str) -> FormalContext:
@@ -316,7 +328,9 @@ def parse_json_context(text: str) -> FormalContext:
     if not isinstance(inc, list):
         raise InputError("schema-violation", "incidence must be a list of rows")
     for i, row in enumerate(inc):
-        if not isinstance(row, list) or not all(isinstance(v, (bool, int)) and v in (0, 1) for v in row):
+        # json.loads yields exact types, so the type check rejects every float, string,
+        # null and container, the last unhashable, before the value check hashes the cells
+        if not (isinstance(row, list) and _CELL_TYPES.issuperset(map(type, row)) and _CELL_VALUES.issuperset(row)):
             raise InputError("schema-violation", "incidence rows must contain only 0 and 1", location=f"row {i}")
     return FormalContext(dimension, doc["objects"], doc["attributes"], inc)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import compress
 from types import MappingProxyType
 
 from .context import Dimension, FeatureRegistry, FormalContext, json_object, normalize_name
@@ -33,7 +34,12 @@ def _freeze(features: Mapping[Dimension, Iterable[str]]) -> Mapping[Dimension, f
 
 @dataclass(frozen=True)
 class KgProfile:
-    """Feature sets one knowledge graph exhibits, keyed by dimension."""
+    """Feature sets one knowledge graph exhibits, keyed by dimension.
+
+    The constructor normalizes the KG name and every feature name, so a
+    hand-built profile compares with context and registry names;
+    profile_of skips it because context names are normalized already.
+    """
 
     kg: str
     features: Mapping[Dimension, frozenset[str]]
@@ -97,14 +103,28 @@ class CostModel:
 
 
 def profile_of(contexts: Iterable[FormalContext], kg: str) -> KgProfile:
-    """Collect one KG's features from per-dimension contexts."""
-    kg = normalize_name(kg)
-    features: dict[Dimension, set[str]] = {}
+    """Collect one KG's features from per-dimension contexts.
+
+    Only the KG name is normalized here. The features are read from the
+    KG's incidence row in each context, whose names FormalContext has
+    already normalized, so the profile is built without normalizing them
+    again. Contexts of one dimension contribute the union of their rows.
+    """
+    name = normalize_name(kg)
+    features: dict[Dimension, frozenset[str]] = {}
     for ctx in contexts:
-        features.setdefault(ctx.dimension, set()).update(ctx.features_of(kg))
+        row = ctx.object_index.get(name)
+        if row is None:
+            raise InputError("unknown-object", f"unknown object {name!r}")
+        exhibited = frozenset(compress(ctx.attributes, ctx.incidence[row]))
+        dim = ctx.dimension
+        features[dim] = features[dim] | exhibited if dim in features else exhibited
     if not features:
         raise InputError("missing-input", "no contexts supplied")
-    return KgProfile(kg, features)
+    profile = object.__new__(KgProfile)  # skips __post_init__, which would normalize every feature again
+    object.__setattr__(profile, "kg", name)
+    object.__setattr__(profile, "features", MappingProxyType({d: features[d] for d in _dimensions(features)}))
+    return profile
 
 
 def _check_registered(role: str, features: Mapping[Dimension, frozenset[str]], registry: FeatureRegistry) -> None:

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import settings
 
 settings.register_profile("suite", deadline=None, derandomize=True)
+# a fresh draw on every run, for CI or by hand: pytest tests/test_fuzz.py --hypothesis-profile explore
+settings.register_profile("explore", deadline=None, derandomize=False, max_examples=500)
 settings.load_profile("suite")
 
 

@@ -21,6 +21,7 @@ from kgcontinuum import (
     FormalContext,
     Implication,
     InputError,
+    KgProfile,
     RequirementSet,
     load_corpus,
     normalize_name,
@@ -148,6 +149,22 @@ def oracle_parse_cxt(text, dimension=Dimension.COMBINED):
             raise InputError("trailing-content", "unexpected content after incidence rows", location=f"line {idx + 1}")
 
     return FormalContext(dimension, tuple(object_names), tuple(attribute_names), tuple(rows))
+
+
+def oracle_json_row_ok(row):
+    """The JSON context parser's cell check before its two set checks: one isinstance test and one comparison per cell."""
+    return isinstance(row, list) and all(isinstance(v, (bool, int)) and v in (0, 1) for v in row)
+
+
+def oracle_profile_of(contexts, kg):
+    """profile_of before it read context rows: features_of per context, then the KgProfile constructor normalizes them again."""
+    kg = normalize_name(kg)
+    features = {}
+    for ctx in contexts:
+        features.setdefault(ctx.dimension, set()).update(ctx.features_of(kg))
+    if not features:
+        raise InputError("missing-input", "no contexts supplied")
+    return KgProfile(kg, features)
 
 
 # fitness and delta as the package computed them before one shared per-dimension

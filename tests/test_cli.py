@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kgcontinuum.cli as cli
-from kgcontinuum import Dimension, IntegrityError, ValidationReport, Finding, parse_cxt, parse_json_context
+from kgcontinuum import KG_NAMES, Dimension, IntegrityError, ValidationReport, Finding, parse_cxt, parse_json_context
 
 from helpers import corpus
 
@@ -196,6 +196,49 @@ def test_python_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == {"errors": [], "warnings": []}
+
+
+# runs each argv of the JSON list in argv[1] through main and ends its output with the exit code
+RUN_ALL = """import json, sys
+from kgcontinuum.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    print(f"--- exit {code}", flush=True)
+"""
+
+
+def test_output_is_byte_identical_across_hash_seeds(req_file, tmp_path):
+    # string hashes follow PYTHONHASHSEED and Dimension hashes follow object
+    # addresses, so set and dict iteration may differ between the two processes
+    cost = tmp_path / "cost.json"
+    cost.write_text('{"add_weight": 2.0, "remove_weight": 0.25, "overrides": {"SHACL": 0.5}}')
+    src = ["--corpus", "builtin"]
+    argvs = []
+    for kg, other in zip(KG_NAMES, KG_NAMES[1:] + KG_NAMES[:1]):
+        argvs += [
+            ["fit", *src, "--kg", kg, "--require", req_file],
+            ["fit", *src, "--kg", kg, "--require", req_file, "--cost-model", str(cost)],
+            ["delta", *src, "--kg", kg, "--to-kg", other],
+            ["delta", *src, "--kg", kg, "--require", req_file],
+        ]
+    for tag in ALL_DIMS:
+        argvs += [
+            ["lattice", *src, "--dimension", tag],
+            ["implications", *src, "--dimension", tag, "--format", "text"],
+            ["validate", *src, "--dimension", tag],
+        ]
+    outputs = []
+    for seed in ("0", "4242"):
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_ALL, json.dumps(argvs)],
+            capture_output=True,
+            env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PYTHONHASHSEED": seed},
+            timeout=120,
+        )
+        assert proc.stderr == b""
+        assert proc.stdout.count(b"--- exit 0\n") == len(argvs)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def _reject_constant(name):

@@ -1,7 +1,9 @@
 """Context data model, CXT/JSON carriers, validation, registry, and merging."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import sys
 
 import pytest
@@ -30,6 +32,7 @@ from helpers import (
     contexts_strategy,
     corpus,
     oracle_attribute_frequency,
+    oracle_json_row_ok,
     oracle_normalize_name,
     oracle_registry_from_contexts,
     oracle_validate_context,
@@ -156,6 +159,28 @@ def test_dimension_from_tag():
     with pytest.raises(InputError) as err:
         Dimension.from_tag("syntactic")
     assert err.value.code == "unknown-dimension"
+
+
+@pytest.mark.parametrize("dim", list(Dimension), ids=lambda d: d.value)
+def test_dimension_hash_agrees_with_equality(dim):
+    assert len(Dimension) == 5
+    table = {d: d.value for d in Dimension}
+    copies = [
+        Dimension(dim.value),
+        Dimension[dim.name],
+        Dimension.from_tag(dim.value),
+        copy.copy(dim),
+        copy.deepcopy(dim),
+        *(pickle.loads(pickle.dumps(dim, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    for other in copies:
+        assert other == dim and hash(other) == hash(dim)
+        assert table[other] == dim.value
+        assert other in {dim} and other in frozenset(Dimension)
+    assert {dim, *copies} == {dim}
+    assert all(other != dim for other in Dimension if other is not dim)
+    with pytest.raises(KeyError):
+        table[dim.value]
 
 
 # --- CXT carrier ----------------------------------------------------------------
@@ -342,6 +367,44 @@ def test_parse_json_rejects_nonbinary_incidence():
     with pytest.raises(InputError) as err:
         parse_json_context(json.dumps(doc))
     assert err.value.code == "schema-violation"
+
+
+# JSON values a cell may hold: 0/1 ints and bools pass, every other number, type
+# and container fails, as does an integer past the float range
+CELLS = [0, 1, True, False, 2, -1, 1.0, 0.0, -0.0, "1", None, [], {}, 10**400]
+
+
+def incidence_or_error(build):
+    """The incidence of the context build() returns, or the (code, location) of its InputError."""
+    try:
+        return build().incidence
+    except InputError as err:
+        return err.code, err.location
+
+
+def parsed_rows(rows):
+    doc = {"dimension": "combined", "objects": [f"g{i}" for i in range(len(rows))], "attributes": ["m", "n"], "incidence": rows}
+    return incidence_or_error(lambda: parse_json_context(json.dumps(doc)))
+
+
+def oracle_rows(rows):
+    """The generator check on the rows as the parser sees them (-0.0 stays a float, 10**400 an int), then the constructor."""
+    decoded = json.loads(json.dumps(rows))
+    bad = next((i for i, row in enumerate(decoded) if not oracle_json_row_ok(row)), None)
+    if bad is not None:
+        return "schema-violation", f"row {bad}"
+    objects = [f"g{i}" for i in range(len(rows))]
+    return incidence_or_error(lambda: FormalContext(Dimension.COMBINED, objects, ["m", "n"], decoded))
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=repr)
+def test_json_cell_check_matches_the_generator_oracle_on_each_cell(cell):
+    assert parsed_rows([[0, cell]]) == oracle_rows([[0, cell]])
+
+
+@given(st.lists(st.lists(st.sampled_from(CELLS), min_size=2, max_size=2) | st.sampled_from(CELLS), max_size=4))
+def test_json_cell_check_matches_the_generator_oracle(rows):
+    assert parsed_rows(rows) == oracle_rows(rows)
 
 
 # --- validation ----------------------------------------------------------------

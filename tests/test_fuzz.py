@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from kgcontinuum import (
     PER_DIMENSION,
+    FormalContext,
     InputError,
     cost_model_from_json,
     parse_cxt,
@@ -37,6 +38,22 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=12,
 )
+
+
+def fuzz_settings(max_examples):
+    """A test's own example budget under the suite profile; under any other profile, such as explore, that profile's."""
+    if settings.get_current_profile_name() != "suite":
+        max_examples = settings.default.max_examples
+    return settings(max_examples=max_examples, deadline=None)
+
+
+def test_fuzz_budgets_follow_the_loaded_profile(request):
+    name = request.config.getoption("hypothesis_profile") or "suite"
+    profile = settings.get_profile(name)
+    assert settings.get_current_profile_name() == name
+    assert settings.default.derandomize == profile.derandomize
+    assert fuzz_settings(80).max_examples == (80 if name == "suite" else profile.max_examples)
+
 
 names = st.sampled_from(["g", "m", " g ", "", "a  b", "X"]) | st.text(max_size=4)
 numbers = st.integers() | st.floats() | st.booleans() | st.sampled_from([0, 1, 10**400])
@@ -111,7 +128,7 @@ SHAPED = [
 
 
 @pytest.mark.parametrize("parse,shaped", SHAPED, ids=[parse.__name__ for parse, _ in SHAPED])
-@settings(max_examples=80, deadline=None)
+@fuzz_settings(80)
 @given(data=st.data())
 def test_parsers_raise_only_input_errors(parse, shaped, data):
     text = data.draw(st.text(max_size=40) | json_values.map(json.dumps) | shaped)
@@ -121,7 +138,7 @@ def test_parsers_raise_only_input_errors(parse, shaped, data):
         pass
 
 
-@settings(max_examples=80, deadline=None)
+@fuzz_settings(80)
 @given(text=cxt_texts(), line=st.sampled_from([2, 3]), count=bad_counts)
 def test_cxt_count_lines_raise_only_input_errors(text, line, count):
     lines = text.split("\n")
@@ -141,7 +158,7 @@ def parsed(parse, text):
     return ctx.objects, ctx.attributes, ctx.incidence
 
 
-@settings(max_examples=300, deadline=None)
+@fuzz_settings(300)
 @given(text=cxt_texts())
 def test_parse_cxt_matches_the_character_loop_parser(text):
     assert parsed(parse_cxt, text) == parsed(oracle_parse_cxt, text)
@@ -166,6 +183,12 @@ def requirement_texts(draw, ctx):
     return draw(st.just(json.dumps({"community": "c", "task": "t", "required": required})) | requirement_docs)
 
 
+@st.composite
+def kg_names(draw, ctx):
+    """A KG the context declares, more often than not, or any name."""
+    return draw(st.sampled_from(ctx.objects) | st.sampled_from(ctx.objects) | names if ctx.objects else names)
+
+
 cost_model_texts = st.sampled_from(['{"add_weight": 2, "remove_weight": 0.5}', '{"overrides": {"m0": 3}}']) | cost_model_docs
 
 
@@ -180,13 +203,37 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=120, deadline=None)
+def assert_clean_exits(runs, out_path=None):
+    """Each (argv, writes_json) run exits 0, 1 or 2, with strict JSON on success and one error line on failure.
+
+    A run that succeeds with --out writes its result to out_path instead of stdout.
+    """
+    for argv, writes_json in runs:
+        code, out, err = run_main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            assert err == ""
+            if "--out" in argv:
+                assert out == ""
+                out = out_path.read_text(encoding="utf-8")
+            if writes_json:
+                json.loads(out, parse_constant=_reject_non_json)
+        elif argv[0] == "validate" and err == "":
+            # a file that does not parse is a finding of its own, reported on stdout
+            assert code == 1
+            assert len(json.loads(out, parse_constant=_reject_non_json)["errors"]) == 1
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, (argv, err)
+
+
+@fuzz_settings(120)
 @given(data=st.data())
 def test_cli_main_exits_cleanly_on_generated_files(data):
     text, ctx = data.draw(context_files())
     fitting = None if text.lstrip().startswith("{") else ctx.dimension.value  # JSON carries its own dimension
     dimension = data.draw(st.sampled_from([fitting, fitting, None, ctx.dimension.value, "combined"]))
-    kg = data.draw(st.sampled_from(ctx.objects) | st.sampled_from(ctx.objects) | names if ctx.objects else names)
+    kg = data.draw(kg_names(ctx))
     with tempfile.TemporaryDirectory() as tmp:
         context, require, cost = (Path(tmp, name) for name in ("context", "require", "cost"))
         context.write_text(text, encoding="utf-8")
@@ -205,17 +252,40 @@ def test_cli_main_exits_cleanly_on_generated_files(data):
             (fit, True),
             ([*fit, "--cost-model", str(cost)], True),
         ]
-        for argv, writes_json in runs:
-            code, out, err = run_main(argv)
-            assert code in (0, 1, 2), argv
-            if code == 0:
-                assert err == ""
-                if writes_json:
-                    json.loads(out, parse_constant=_reject_non_json)
-            elif argv[0] == "validate" and err == "":
-                # a file that does not parse is a finding of its own, reported on stdout
-                assert code == 1
-                assert len(json.loads(out, parse_constant=_reject_non_json)["errors"]) == 1
-            else:
-                assert out == ""
-                assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, (argv, err)
+        assert_clean_exits(runs)
+
+
+@fuzz_settings(120)
+@given(data=st.data())
+def test_cli_delta_and_corpus_export_exit_cleanly_on_generated_files(data):
+    text, ctx = data.draw(context_files())
+    if data.draw(st.booleans()):
+        text = serialize_json_context(ctx)  # well-formed JSON half the time, so that a second file can join it
+    is_json = text.lstrip().startswith("{")
+    fitting = None if is_json else ctx.dimension.value  # JSON carries its own dimension
+    dimension = data.draw(st.sampled_from([fitting, fitting, None, ctx.dimension.value, "combined"]))
+    tag = data.draw(st.sampled_from(TAGS))
+    with tempfile.TemporaryDirectory() as tmp:
+        context, second, require, out = (Path(tmp, name) for name in ("context", "second", "require", "out"))
+        context.write_text(text, encoding="utf-8")
+        require.write_text(data.draw(requirement_texts(ctx)), encoding="utf-8")
+        source = ["--context", str(context)] + (["--dimension", dimension] if dimension else [])
+        # --dimension covers a single file, so a second one is added only beside JSON: the
+        # same KGs under attributes of their own, which register under any dimension
+        if is_json and data.draw(st.booleans()):
+            other = FormalContext(
+                data.draw(st.sampled_from(PER_DIMENSION)), ctx.objects, [f"n{j}" for j in range(len(ctx.attributes))], ctx.incidence
+            )
+            well_formed = st.just(serialize_json_context(other))
+            second.write_text(data.draw(well_formed | well_formed | st.just(serialize_cxt(other)) | context_docs), encoding="utf-8")
+            source += ["--context", str(second)]
+        # --out to a new file, or to the directory, which the write fails on
+        target = data.draw(st.sampled_from([[], [], ["--out", str(out)], ["--out", tmp]]))
+        delta = ["delta", *source, "--kg", data.draw(kg_names(ctx))]
+        export = data.draw(st.sampled_from(["json", "cxt", "xml"]))
+        runs = [
+            ([*delta, "--to-kg", data.draw(kg_names(ctx)), *target], True),
+            ([*delta, "--require", str(require), *target], True),
+            (["corpus", "export", "--dimension", tag, "--format", export, *target], export == "json"),
+        ]
+        assert_clean_exits(runs, out)

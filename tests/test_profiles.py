@@ -1,16 +1,19 @@
 """Profiles, fitness evaluation, cost models, positions, and deltas."""
 
 import json
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kgcontinuum import (
+    PER_DIMENSION,
     CostModel,
     Dimension,
     FeatureDelta,
     FeatureRegistry,
     FitnessReport,
+    FormalContext,
     InputError,
     KgProfile,
     RequirementSet,
@@ -31,6 +34,7 @@ from kgcontinuum import (
 )
 
 from helpers import (
+    contexts_strategy,
     corpus,
     dimension_maps,
     feature_maps,
@@ -39,6 +43,7 @@ from helpers import (
     oracle_delta_json,
     oracle_evaluate_fitness,
     oracle_fitness_json,
+    oracle_profile_of,
     oracle_transformation_delta,
 )
 
@@ -81,6 +86,66 @@ def test_profile_no_contexts():
     with pytest.raises(InputError) as err:
         profile_of([], "Wikidata")
     assert err.value.code == "missing-input"
+
+
+# whitespace the normalizer trims and collapses, around and inside generated names
+PADDING = st.sampled_from(["", " ", "  ", "\t", "　", " \n "])
+
+
+@st.composite
+def padded(draw, name):
+    head, _, tail = name.partition(" ")
+    return f"{draw(PADDING)}{head}{draw(PADDING) or ' '}{tail}{draw(PADDING)}"
+
+
+@st.composite
+def profile_inputs(draw):
+    """Up to four per-dimension contexts with padded names, the first two often of one dimension, and a KG name to look up."""
+    contexts = []
+    dims = draw(st.lists(st.sampled_from(PER_DIMENSION), max_size=4))
+    if len(dims) > 1 and draw(st.booleans()):
+        dims[1] = dims[0]
+    for dim in dims:
+        ctx = draw(contexts_strategy(max_objects=4, max_attributes=5))
+        contexts.append(FormalContext(
+            dim,
+            [draw(padded(f"g {i}")) for i in range(len(ctx.objects))],
+            [draw(padded(f"m {j}")) for j in range(len(ctx.attributes))],
+            ctx.incidence,
+        ))
+    return contexts, draw(padded(f"g {draw(st.integers(0, 4))}"))
+
+
+def profile_or_error(build, contexts, kg):
+    try:
+        profile = build(contexts, kg)
+    except InputError as err:
+        return err.code, err.message, err.location
+    assert type(profile.features) is MappingProxyType
+    assert all(type(feats) is frozenset for feats in profile.features.values())
+    return profile, list(profile.features)
+
+
+@given(profile_inputs())
+def test_profile_of_matches_the_features_of_oracle(drawn):
+    contexts, kg = drawn
+    assert profile_or_error(profile_of, contexts, kg) == profile_or_error(oracle_profile_of, contexts, kg)
+
+
+def test_profile_of_unions_contexts_of_one_dimension():
+    first = FormalContext(SP, [" a  b "], ["x", "y  z"], [[True, False]])
+    second = FormalContext(SP, ["a b"], ["y z", "w"], [[True, True]])
+    profile = profile_of([first, second, FormalContext(PA, ["a\tb"], ["v"], [[False]])], "a   b")
+    assert profile == KgProfile("a b", {SP: {"x", "y z", "w"}, PA: set()})
+    assert list(profile.features) == [SP, PA]
+
+
+def test_hand_built_profile_and_requirement_still_normalize():
+    profile = KgProfile(" a  b ", {SP: ["x  y "]})
+    assert profile.kg == "a b"
+    assert profile.features == {SP: frozenset(["x y"])}
+    requirement = RequirementSet("c", "t", {PA: ["\tOWL  DL reasoning", "SHACL "]})
+    assert requirement.required == {PA: frozenset(["OWL DL reasoning", "SHACL"])}
 
 
 # --- fitness ------------------------------------------------------------------
