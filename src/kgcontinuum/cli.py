@@ -321,4 +321,5 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    sys.stdout.reconfigure(encoding="utf-8")  # the same bytes as --out, whatever the locale
     raise SystemExit(main())

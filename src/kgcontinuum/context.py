@@ -22,6 +22,18 @@ from .errors import InputError
 _MAX_COUNT_DIGITS = 9
 # str.translate table deleting the two incidence cells; what is left of a row is invalid
 _ROW_CELLS = str.maketrans("", "", "X.")
+# a mask's bit k stands for the k-th declared name. _bits turns a mask into a
+# compress selector of 0/1 bytes, lowest bit first; _mask turns cells back into a mask
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+_CELL_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits(mask: int) -> bytes:
+    return bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)
+
+
+def _mask(cells: Sequence[bool]) -> int:
+    return int(b"0" + bytes(cells[::-1]).translate(_CELL_DIGITS), 2)
 
 
 def normalize_name(name: str) -> str:
@@ -126,26 +138,18 @@ class FormalContext:
 
     @cached_property
     def row_masks(self) -> tuple[int, ...]:
-        """Per-object attribute bitmask; bit j corresponds to attributes[j]."""
-        masks = []
-        for row in self.incidence:
-            m = 0
-            for j, v in enumerate(row):
-                if v:
-                    m |= 1 << j
-            masks.append(m)
-        return tuple(masks)
+        """Per-object attribute bitmask, built from incidence in C; bit j corresponds to attributes[j]."""
+        return tuple(map(_mask, self.incidence))
 
     @cached_property
     def column_masks(self) -> tuple[int, ...]:
-        """Per-attribute object bitmask, the transpose of row_masks; bit i corresponds to objects[i]."""
-        masks = [0] * len(self.attributes)
-        for i, row in enumerate(self.incidence):
-            bit = 1 << i
-            for j, v in enumerate(row):
-                if v:
-                    masks[j] |= bit
-        return tuple(masks)
+        """Per-attribute object bitmask, the transpose of row_masks; bit i corresponds to objects[i].
+
+        Built from the columns of incidence in C on first use; every reader of a column goes through it.
+        """
+        if not self.objects:
+            return (0,) * len(self.attributes)  # zip(*()) yields no columns
+        return tuple(map(_mask, zip(*self.incidence)))
 
     def features_of(self, obj: str) -> frozenset[str]:
         """Attributes incident to one object."""
@@ -155,12 +159,11 @@ class FormalContext:
         return frozenset(compress(self.attributes, self.incidence[self.object_index[name]]))
 
     def holders_of(self, attr: str) -> frozenset[str]:
-        """Objects incident to one attribute."""
+        """Objects incident to one attribute, read from its column mask."""
         name = normalize_name(attr)
         if name not in self.attribute_index:
             raise InputError("unknown-attribute", f"unknown attribute {attr!r}")
-        j = self.attribute_index[name]
-        return frozenset(o for o, row in zip(self.objects, self.incidence) if row[j])
+        return frozenset(compress(self.objects, _bits(self.column_masks[self.attribute_index[name]])))
 
     @classmethod
     def from_feature_sets(
@@ -290,11 +293,16 @@ def json_object(text: str, required: Iterable[str] = (), allowed: Iterable[str] 
     """Parse text as one JSON object that holds every required key.
 
     When allowed is given, keys outside it are rejected too. Malformed
-    JSON, NaN and Infinity literals, and nesting too deep to decode raise
-    InputError("invalid-json"); a wrong shape raises "schema-violation".
+    JSON, NaN and Infinity literals, nesting too deep to decode and
+    strings holding a lone surrogate raise InputError("invalid-json"); a
+    wrong shape raises "schema-violation".
     """
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
+        if "\\u" in text:  # only a \u escape puts a lone surrogate, which no output can encode, into a string
+            json.dumps(doc, ensure_ascii=False).encode()
+    except UnicodeEncodeError as exc:  # a ValueError too, so it is caught first
+        raise InputError("invalid-json", f"lone surrogate {exc.object[exc.start]!r} is not text") from None
     except (ValueError, RecursionError) as exc:
         raise InputError("invalid-json", str(exc)) from None
     if not isinstance(doc, dict):
@@ -384,10 +392,8 @@ def validate_context(ctx: FormalContext) -> ValidationReport:
 
 
 def attribute_frequency(ctx: FormalContext) -> Mapping[str, int]:
-    """Number of objects exhibiting each attribute, keyed by attribute name."""
-    freq = dict.fromkeys(ctx.attributes, 0)  # zip(*()) yields no columns when there are no objects
-    freq.update(zip(ctx.attributes, map(sum, zip(*ctx.incidence))))
-    return MappingProxyType(freq)
+    """Number of objects exhibiting each attribute, keyed by attribute name: the bit count of its column mask."""
+    return MappingProxyType(dict(zip(ctx.attributes, map(int.bit_count, ctx.column_masks))))
 
 
 def universal_features(contexts: Iterable[FormalContext]) -> tuple[tuple[Dimension, str], ...]:
@@ -515,9 +521,9 @@ def registry_from_contexts(contexts: Iterable[FormalContext]) -> FeatureRegistry
     """
     by_name: dict[str, RegistryEntry] = {}
     for ctx in contexts:
-        for j, attr in enumerate(ctx.attributes):
+        for attr, column in zip(ctx.attributes, ctx.column_masks):
             if _registered_entry(by_name, attr, ctx.dimension) is None:
-                first = next((o for o, row in zip(ctx.objects, ctx.incidence) if row[j]), None)
+                first = next(compress(ctx.objects, _bits(column)), None)
                 by_name[attr] = RegistryEntry(attr, ctx.dimension, first)
     return FeatureRegistry(tuple(by_name.values()))
 

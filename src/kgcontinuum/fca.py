@@ -7,13 +7,13 @@ the public surface speaks frozensets of names.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import and_
 
-from .context import FormalContext
+from .context import FormalContext, _bits
 from .errors import InputError
 
 
@@ -41,32 +41,21 @@ class Implication:
 # --- bitmask plumbing ---------------------------------------------------------
 
 
-def _attr_mask(ctx: FormalContext, attrs: Iterable[str]) -> int:
+def _names_mask(index: Mapping[str, int], names: Iterable[str], kind: str) -> int:
     mask = 0
-    index = ctx.attribute_index
-    for name in attrs:
+    for name in names:
         if name not in index:
-            raise InputError("unknown-attribute", f"unknown attribute {name!r}")
+            raise InputError(f"unknown-{kind}", f"unknown {kind} {name!r}")
         mask |= 1 << index[name]
     return mask
+
+
+def _attr_mask(ctx: FormalContext, attrs: Iterable[str]) -> int:
+    return _names_mask(ctx.attribute_index, attrs, "attribute")
 
 
 def _obj_mask(ctx: FormalContext, objs: Iterable[str]) -> int:
-    mask = 0
-    index = ctx.object_index
-    for name in objs:
-        if name not in index:
-            raise InputError("unknown-object", f"unknown object {name!r}")
-        mask |= 1 << index[name]
-    return mask
-
-
-# bin() digits of a mask, lowest first, as 0/1 bytes: a selector for compress
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits(mask: int) -> bytes:
-    return bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)
+    return _names_mask(ctx.object_index, objs, "object")
 
 
 def _attr_names(ctx: FormalContext, mask: int) -> frozenset[str]:
@@ -360,9 +349,8 @@ class _ImplicationIndex:
         bit = 1 << len(self.found)
         self.found.append((premise, closure))
         without = self.without
-        for j in range(len(without)):
-            if not premise >> j & 1:
-                without[j] |= bit
+        for j in compress(range(len(without)), _bits(self.full & ~premise)):
+            without[j] |= bit
 
     def close(self, mask: int) -> int:
         """L-closure of a non-empty NextClosure candidate, or a set that fails its lectic check.

@@ -57,6 +57,34 @@ def oracle_registry_from_contexts(contexts):
     return registry
 
 
+def oracle_row_masks(ctx):
+    """Each object's attribute mask, set one cell at a time (the package's row masks before they were built in C)."""
+    masks = []
+    for row in ctx.incidence:
+        m = 0
+        for j, v in enumerate(row):
+            if v:
+                m |= 1 << j
+        masks.append(m)
+    return tuple(masks)
+
+
+def oracle_column_masks(ctx):
+    """Each attribute's object mask, set one cell at a time (the package's column masks before they were built in C)."""
+    masks = [0] * len(ctx.attributes)
+    for i, row in enumerate(ctx.incidence):
+        for j, v in enumerate(row):
+            if v:
+                masks[j] |= 1 << i
+    return tuple(masks)
+
+
+def oracle_holders_of(ctx, attr):
+    """Objects holding one attribute, by scanning every row (the package's holders_of before column masks)."""
+    j = ctx.attribute_index[normalize_name(attr)]
+    return frozenset(o for o, row in zip(ctx.objects, ctx.incidence) if row[j])
+
+
 def oracle_attribute_frequency(ctx):
     """Count each attribute's objects one cell at a time (the package's count before the column sums)."""
     freq = {a: 0 for a in ctx.attributes}
@@ -474,9 +502,9 @@ def seeded_context(seed, n_obj, n_att, density):
 
 
 @st.composite
-def contexts_strategy(draw, max_objects=7, max_attributes=7):
-    n_obj = draw(st.integers(0, max_objects))
-    n_att = draw(st.integers(0, max_attributes))
+def contexts_strategy(draw, max_objects=7, max_attributes=7, min_objects=0, min_attributes=0):
+    n_obj = draw(st.integers(min_objects, max_objects))
+    n_att = draw(st.integers(min_attributes, max_attributes))
     rows = draw(
         st.lists(
             st.lists(st.booleans(), min_size=n_att, max_size=n_att),

@@ -198,6 +198,59 @@ def test_python_m_runs_the_cli():
     assert json.loads(proc.stdout) == {"errors": [], "warnings": []}
 
 
+def cli_process(*argv, encoding="utf-8"):
+    """`python -m kgcontinuum ARGV` in a new process whose stdout encoding is the given one."""
+    return subprocess.run(
+        [sys.executable, "-m", "kgcontinuum", *argv],
+        capture_output=True,
+        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PYTHONIOENCODING": encoding},
+        timeout=60,
+    )
+
+
+def _json_context(tmp_path, objects):
+    path = tmp_path / "ctx.json"
+    # a name written as "\ud800" reaches the parser as a JSON escape
+    text = '{"dimension": "semantic-property", "objects": [%s], "attributes": ["m"], "incidence": [[1]]}' % objects
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_lone_surrogate_escape_exits_one(tmp_path, out):
+    context = _json_context(tmp_path, '"\\ud800"')
+    target = tmp_path / "result.json"
+    argv = ["--context", context] + (["--out", str(target)] if out else [])
+    proc = cli_process("lattice", *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: invalid-json: lone surrogate '\\ud800' is not text\n"
+    assert not target.exists()
+    # validate reports the file that does not parse as its one error finding
+    proc = cli_process("validate", *argv)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+    report = json.loads(target.read_bytes() if out else proc.stdout)
+    assert [f["code"] for f in report["errors"]] == ["invalid-json"]
+
+
+def test_paired_surrogate_escapes_are_one_character(tmp_path):
+    proc = cli_process("lattice", "--context", _json_context(tmp_path, '"\\ud83d\\ude00"'))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["concepts"][0]["extent"] == ["\U0001f600"]
+
+
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    context = _json_context(tmp_path, '"café"')
+    target = tmp_path / "lattice.json"
+    assert cli_process("lattice", "--context", context, "--out", str(target)).returncode == 0
+    for encoding in ("utf-8", "ascii", "cp1252"):
+        proc = cli_process("lattice", "--context", context, encoding=encoding)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == target.read_bytes()
+    assert "café".encode() in proc.stdout
+
+
 # runs each argv of the JSON list in argv[1] through main and ends its output with the exit code
 RUN_ALL = """import json, sys
 from kgcontinuum.cli import main

@@ -32,11 +32,15 @@ from helpers import (
     contexts_strategy,
     corpus,
     oracle_attribute_frequency,
+    oracle_column_masks,
+    oracle_holders_of,
     oracle_json_row_ok,
     oracle_normalize_name,
     oracle_registry_from_contexts,
+    oracle_row_masks,
     oracle_validate_context,
 )
+from kgcontinuum.context import _bits, _mask
 
 WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
@@ -431,10 +435,33 @@ def test_validate_corpus_semantic_affordances_flags_attribution():
 
 NO_OBJECTS = FormalContext(Dimension.COMBINED, (), ("m1", "m2"), ())
 NO_ATTRIBUTES = FormalContext(Dimension.COMBINED, ("g1", "g2"), (), ((), ()))
+EMPTY = FormalContext(Dimension.COMBINED, (), (), ())
 
 
 @example(NO_OBJECTS)
 @example(NO_ATTRIBUTES)
+@example(EMPTY)
+@given(
+    contexts_strategy()
+    | contexts_strategy(max_objects=3, min_attributes=200, max_attributes=260)
+    | contexts_strategy(min_objects=200, max_objects=260, max_attributes=3)
+)
+def test_masks_and_holders_match_the_cell_loops(ctx):
+    assert ctx.row_masks == oracle_row_masks(ctx)
+    assert ctx.column_masks == oracle_column_masks(ctx)
+    assert [ctx.holders_of(a) for a in ctx.attributes] == [oracle_holders_of(ctx, a) for a in ctx.attributes]
+
+
+@example(0)
+@example(1)
+@given(st.integers(0, 300).map(lambda k: 1 << k) | st.integers(0, (1 << 300) - 1))
+def test_mask_inverts_bits(m):
+    assert _mask(_bits(m)) == m
+
+
+@example(NO_OBJECTS)
+@example(NO_ATTRIBUTES)
+@example(EMPTY)
 @given(contexts_strategy())
 def test_validate_and_frequency_match_the_cell_scans(ctx):
     assert dict(attribute_frequency(ctx)) == oracle_attribute_frequency(ctx)

@@ -216,11 +216,13 @@ def assert_clean_exits(runs, out_path=None):
             if "--out" in argv:
                 assert out == ""
                 out = out_path.read_text(encoding="utf-8")
+            out.encode("utf-8")  # strict, as a real stdout or --out file writes it: a lone surrogate fails here
             if writes_json:
                 json.loads(out, parse_constant=_reject_non_json)
         elif argv[0] == "validate" and err == "":
             # a file that does not parse is a finding of its own, reported on stdout
             assert code == 1
+            out.encode("utf-8")
             assert len(json.loads(out, parse_constant=_reject_non_json)["errors"]) == 1
         else:
             assert out == ""
@@ -287,5 +289,59 @@ def test_cli_delta_and_corpus_export_exit_cleanly_on_generated_files(data):
             ([*delta, "--to-kg", data.draw(kg_names(ctx)), *target], True),
             ([*delta, "--require", str(require), *target], True),
             (["corpus", "export", "--dimension", tag, "--format", export, *target], export == "json"),
+        ]
+        assert_clean_exits(runs, out)
+
+
+# json.dumps writes a surrogate code point as a \ud800-style escape; json.loads turns a
+# lone one back into a surrogate no UTF-8 output can hold, and a high one followed by a
+# low one into the single astral character they encode
+lone_surrogates = st.integers(0xD800, 0xDFFF).map(chr)
+paired_surrogates = st.tuples(st.integers(0xD800, 0xDBFF), st.integers(0xDC00, 0xDFFF)).map(lambda p: chr(p[0]) + chr(p[1]))
+surrogates = st.lists(lone_surrogates | paired_surrogates, max_size=2).map("".join)
+
+
+@st.composite
+def surrogate_files(draw):
+    """Context, requirement and cost-model JSON whose names, tags and keys may end in surrogate escapes; and the KG names."""
+    ctx = draw(contexts_strategy(max_objects=4, max_attributes=4))
+    # the index prefix keeps names distinct, as surrogates are neither digits nor whitespace
+    objects = [f"g{i}{draw(surrogates)}" for i in range(len(ctx.objects))]
+    attributes = [f"m{j}{draw(surrogates)}" for j in range(len(ctx.attributes))]
+    tag = draw(st.sampled_from(PER_DIMENSION)).value
+    context = {
+        "dimension": tag + draw(st.just("") | surrogates),
+        "objects": objects,
+        "attributes": attributes,
+        "incidence": [list(map(int, row)) for row in ctx.incidence],
+    }
+    if draw(st.integers(0, 3)) == 0:
+        context["k" + draw(surrogates)] = 0  # a stray key, named in the schema-violation message
+    features = draw(st.lists(st.sampled_from(attributes), max_size=2)) if attributes else []
+    requirement = {"community": "c" + draw(surrogates), "task": "t", "required": {tag + draw(st.just("") | surrogates): features}}
+    cost = {"overrides": {name: 2 for name in features + [draw(surrogates)]}}
+    return [json.dumps(doc) for doc in (context, requirement, cost)], objects or ["g0"]
+
+
+@fuzz_settings(120)
+@given(data=st.data())
+def test_cli_exits_cleanly_on_surrogate_escapes(data):
+    texts, kgs = data.draw(surrogate_files())
+    with tempfile.TemporaryDirectory() as tmp:
+        context, require, cost, out = (Path(tmp, name) for name in ("context", "require", "cost", "out"))
+        for path, text in zip((context, require, cost), texts):
+            path.write_text(text, encoding="utf-8")
+        source = ["--context", str(context)]
+        target = data.draw(st.sampled_from([[], ["--out", str(out)]]))
+        kg, other = data.draw(st.sampled_from(kgs)), data.draw(st.sampled_from(kgs))
+        runs = [
+            (["lattice", *source, *target], True),
+            (["legend", *source, "--format", "csv", *target], False),
+            (["dot", *source, "--labels", "id+intent", *target], False),
+            (["implications", *source, "--format", "text", *target], False),
+            (["validate", *source], True),
+            (["fit", *source, "--kg", kg, "--require", str(require), "--cost-model", str(cost), *target], True),
+            (["delta", *source, "--kg", kg, "--to-kg", other, *target], True),
+            (["delta", *source, "--kg", kg, "--require", str(require), *target], True),
         ]
         assert_clean_exits(runs, out)
