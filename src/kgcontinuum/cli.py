@@ -1,8 +1,8 @@
 """Batch command-line interface over contexts and the embedded corpus.
 
-Exit codes: 0 success, 1 input error, 2 internal or golden-data failure.
-Results go to stdout (or --out); diagnostics go to stderr. Setting the
-CONTINUUM_NO_COLOR environment variable disables stderr styling.
+Exit codes: 0 success, 1 input error, 2 internal or golden-data failure or
+running out of memory. Results go to stdout (or --out); diagnostics go to
+stderr. Setting the CONTINUUM_NO_COLOR environment variable disables stderr styling.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _fail(message: str) -> None:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_bytes(text.encode("utf-8"))  # encode before opening: no partial file
     else:
         sys.stdout.write(text)
 
@@ -84,7 +84,7 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise InputError("invalid-encoding", f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        raise InputError("invalid-encoding", f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _load_context_file(path: str, dimension_tag: str | None) -> FormalContext:
@@ -318,6 +318,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         _fail(str(exc))
         return 1
+    except MemoryError:  # reported below, once the frames its traceback holds are freed
+        pass
+    _fail("resource-exhausted: out of memory; try a smaller context")
+    return 2
 
 
 def entrypoint() -> None:

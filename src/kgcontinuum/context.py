@@ -309,11 +309,11 @@ def json_object(text: str, required: Iterable[str] = (), allowed: Iterable[str] 
         raise InputError("schema-violation", "top level must be an object")
     missing = set(required) - doc.keys()
     if missing:
-        raise InputError("schema-violation", f"missing keys: {', '.join(sorted(missing))}")
+        raise InputError("schema-violation", f"missing keys: {', '.join(map(repr, sorted(missing)))}")
     if allowed is not None:
         extra = doc.keys() - set(allowed)
         if extra:
-            raise InputError("schema-violation", f"unexpected keys: {', '.join(sorted(extra))}")
+            raise InputError("schema-violation", f"unexpected keys: {', '.join(map(repr, sorted(extra)))}")
     return doc
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import and_
+from typing import ClassVar
 
 from .context import FormalContext, _bits
 from .errors import InputError
@@ -200,39 +201,50 @@ def enumerate_concepts(ctx: FormalContext) -> tuple[FormalConcept, ...]:
 
 @dataclass(frozen=True)
 class ConceptLattice:
-    """Concepts in canonical order plus the cover relation of extent inclusion.
+    """Concepts in canonical order, as (extent, intent) bitmask pairs, and their upper covers.
 
-    covers holds (lower, upper) index pairs of the transitive reduction;
-    every other comparability follows from chains of covers.
+    upper_covers[i] lists concept i's upper covers in increasing order. concepts,
+    covers ((lower, upper) pairs) and names (in declaration order) derive from
+    these on first use. By extent size, the bottom comes first and the top last.
     """
 
     context: FormalContext
-    concepts: tuple[FormalConcept, ...]
-    covers: frozenset[tuple[int, int]]
-    top_index: int
-    bottom_index: int
+    masks: tuple[tuple[int, int], ...]
+    upper_covers: tuple[tuple[int, ...], ...]
+    bottom_index: ClassVar[int] = 0
+
+    @property
+    def top_index(self) -> int:
+        return len(self.masks) - 1
 
     @cached_property
-    def _index_by_extent(self) -> dict[frozenset[str], int]:
-        return {c.extent: i for i, c in enumerate(self.concepts)}
+    def concepts(self) -> tuple[FormalConcept, ...]:
+        return _concepts(self.context, self.masks)
+
+    @cached_property
+    def covers(self) -> frozenset[tuple[int, int]]:
+        return frozenset((lo, up) for lo, ups in enumerate(self.upper_covers) for up in ups)
+
+    @cached_property
+    def names(self) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
+        """Each concept's (extent, intent) names, listed in declaration order."""
+        objects, attributes = self.context.objects, self.context.attributes
+        return tuple((tuple(compress(objects, _bits(e))), tuple(compress(attributes, _bits(i)))) for e, i in self.masks)
+
+    @cached_property
+    def _index_by_extent(self) -> dict[int, int]:
+        return {extent: i for i, (extent, _) in enumerate(self.masks)}
 
     def index_of_extent(self, extent: frozenset[str]) -> int:
         try:
-            return self._index_by_extent[frozenset(extent)]
-        except KeyError:
+            return self._index_by_extent[_obj_mask(self.context, extent)]
+        except (InputError, KeyError):  # a name outside the context, or no such concept
             raise InputError("unknown-extent", f"no concept has extent {sorted(extent)}") from None
 
-    @cached_property
-    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        ups: list[list[int]] = [[] for _ in self.concepts]
-        for lo, up in sorted(self.covers):
-            ups[lo].append(up)
-        return tuple(tuple(u) for u in ups)
-
-    def _concept_at(self, index: int) -> FormalConcept:
-        if not 0 <= index < len(self.concepts):
-            raise InputError("index-out-of-range", f"concept index {index} out of range 0..{len(self.concepts) - 1}")
-        return self.concepts[index]
+    def _concept_at(self, index: int) -> tuple[int, int]:
+        if not 0 <= index < len(self.masks):
+            raise InputError("index-out-of-range", f"concept index {index} out of range 0..{len(self.masks) - 1}")
+        return self.masks[index]
 
 
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
@@ -244,36 +256,35 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
     intent holds an attribute, other than m, that is still in the running
     set `minimal`; m leaves `minimal` whenever its candidate is rejected.
     That is about |C|·|M| ANDs and lookups, with no comparison between
-    pairs of concepts.
+    pairs of concepts. Uppers are visited in increasing index, so every
+    list of upper covers comes out in order.
     """
     pairs = _concept_masks(ctx)
     index_of = {extent: i for i, (extent, _) in enumerate(pairs)}
     intents = [intent for _, intent in pairs]
     attrs = [(1 << m, column) for m, column in enumerate(ctx.column_masks)]
     full = (1 << len(attrs)) - 1
-    covers = []
+    ups: list[list[int]] = [[] for _ in pairs]
     for up, (extent, intent) in enumerate(pairs):
         minimal = ~intent
         for bit, column in compress(attrs, _bits(full & ~intent)):
             lo = index_of[extent & column]
             if intents[lo] & minimal == bit:
-                covers.append((lo, up))
+                ups[lo].append(up)
             else:
                 minimal ^= bit
-    # canonical order sorts by extent size: the top's extent holds every
-    # other extent and the bottom's lies inside every other one
-    return ConceptLattice(ctx, _concepts(ctx, pairs), frozenset(covers), len(pairs) - 1, 0)
+    return ConceptLattice(ctx, tuple(pairs), tuple(map(tuple, ups)))
 
 
 def meet(lattice: ConceptLattice, i: int, j: int) -> int:
     """Index of the greatest lower bound of two concepts: extents are closed under intersection."""
-    return lattice.index_of_extent(lattice._concept_at(i).extent & lattice._concept_at(j).extent)
+    return lattice._index_by_extent[lattice._concept_at(i)[0] & lattice._concept_at(j)[0]]
 
 
 def join(lattice: ConceptLattice, i: int, j: int) -> int:
-    """Index of the least upper bound of two concepts."""
-    intent = lattice._concept_at(i).intent & lattice._concept_at(j).intent
-    return lattice.index_of_extent(derive_objects(lattice.context, intent))
+    """Index of the least upper bound of two concepts: the extent of their shared intent."""
+    intent = lattice._concept_at(i)[1] & lattice._concept_at(j)[1]
+    return lattice._index_by_extent[_extent_mask(lattice.context, intent)]
 
 
 def lattice_json(lattice: ConceptLattice) -> dict:
@@ -282,19 +293,9 @@ def lattice_json(lattice: ConceptLattice) -> dict:
     Ids are canonical-order labels c0, c1, ... and extent/intent lists follow
     declaration order, so the output is deterministic.
     """
-    ctx = lattice.context
-    concepts = [
-        {
-            "id": f"c{i}",
-            "extent": sorted(c.extent, key=ctx.object_index.__getitem__),
-            "intent": sorted(c.intent, key=ctx.attribute_index.__getitem__),
-        }
-        for i, c in enumerate(lattice.concepts)
-    ]
-    covers = [[f"c{lo}", f"c{up}"] for lo, up in sorted(lattice.covers)]
     return {
-        "concepts": concepts,
-        "covers": covers,
+        "concepts": [{"id": f"c{i}", "extent": list(objs), "intent": list(attrs)} for i, (objs, attrs) in enumerate(lattice.names)],
+        "covers": [[f"c{lo}", f"c{up}"] for lo, ups in enumerate(lattice.upper_covers) for up in ups],
         "top": f"c{lattice.top_index}",
         "bottom": f"c{lattice.bottom_index}",
     }

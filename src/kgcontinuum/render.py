@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InputError
 from .fca import ConceptLattice
@@ -50,16 +51,7 @@ class Legend:
 
 def legend(lattice: ConceptLattice) -> Legend:
     """Tabulate every concept; names are listed in declaration order."""
-    ctx = lattice.context
-    rows = [
-        LegendRow(
-            f"c{i}",
-            tuple(sorted(c.extent, key=ctx.object_index.__getitem__)),
-            tuple(sorted(c.intent, key=ctx.attribute_index.__getitem__)),
-        )
-        for i, c in enumerate(lattice.concepts)
-    ]
-    return Legend(tuple(rows))
+    return Legend(tuple(LegendRow(f"c{i}", extent, intent) for i, (extent, intent) in enumerate(lattice.names)))
 
 
 @dataclass(frozen=True)
@@ -87,8 +79,8 @@ def assign_layers(lattice: ConceptLattice) -> LayerAssignment:
     """
     # canonical order puts every upper cover after its lower concept, so a
     # backward walk meets all upper covers of a concept before the concept
-    layers = [0] * len(lattice.concepts)
-    for i in reversed(range(len(lattice.concepts))):
+    layers = [0] * len(lattice.masks)
+    for i in reversed(range(len(lattice.masks))):
         ups = lattice.upper_covers[i]
         if ups:
             layers[i] = max(layers[u] for u in ups) + 1
@@ -107,13 +99,12 @@ def to_dot(lattice: ConceptLattice, labels: str = "id-only") -> str:
     """
     if labels not in ("id-only", "id+intent"):
         raise InputError("unknown-label-mode", f"labels must be 'id-only' or 'id+intent', got {labels!r}")
-    ctx = lattice.context
     layer = assign_layers(lattice)
     lines = ["digraph lattice {", "  rankdir=TB;", "  node [shape=box];"]
-    for i, c in enumerate(lattice.concepts):
+    for i in range(len(lattice.masks)):
         label = _quote(f"c{i}")
         if labels == "id+intent":
-            intent = ", ".join(sorted(c.intent, key=ctx.attribute_index.__getitem__)) or EMPTY_MARK
+            intent = ", ".join(lattice.names[i][1]) or EMPTY_MARK
             label = f"{label}\\n{_quote(intent)}"
         lines.append(f'  "c{i}" [label="{label}"];')
     ranks: list[list[int]] = [[] for _ in range(layer.depth + 1)]
@@ -121,7 +112,11 @@ def to_dot(lattice: ConceptLattice, labels: str = "id-only") -> str:
         ranks[depth].append(i)
     for members in ranks:
         lines.append("  { rank=same; " + " ".join(f'"c{i}";' for i in members) + " }")
-    for lo, up in sorted(lattice.covers, key=lambda e: (e[1], e[0])):
-        lines.append(f'  "c{up}" -> "c{lo}";')
+    # edges by upper concept, then lower: the lower concepts are walked in order
+    edges: list[list[str]] = [[] for _ in lattice.masks]
+    for lo, ups in enumerate(lattice.upper_covers):
+        for up in ups:
+            edges[up].append(f'  "c{up}" -> "c{lo}";')
+    lines.extend(chain.from_iterable(edges))
     lines.append("}")
     return "\n".join(lines) + "\n"

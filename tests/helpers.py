@@ -380,6 +380,96 @@ def oracle_covers(pairs):
     return edges
 
 
+# --- lattice views as they were over frozenset concepts -------------------------
+# The package listed each concept's names by sorting its frozensets on the
+# declaration index and sorted the cover frozenset for every view; it now
+# lists names from the concept bitmasks and covers from ordered lists. These
+# read only lattice.context, .concepts and .covers.
+
+
+def oracle_upper_covers(lattice):
+    ups = [[] for _ in lattice.concepts]
+    for lo, up in sorted(lattice.covers):
+        ups[lo].append(up)
+    return tuple(tuple(u) for u in ups)
+
+
+def _oracle_names(lattice, concept):
+    ctx = lattice.context
+    return (
+        sorted(concept.extent, key=ctx.object_index.__getitem__),
+        sorted(concept.intent, key=ctx.attribute_index.__getitem__),
+    )
+
+
+def oracle_lattice_json(lattice):
+    concepts = []
+    for i, c in enumerate(lattice.concepts):
+        extent, intent = _oracle_names(lattice, c)
+        concepts.append({"id": f"c{i}", "extent": extent, "intent": intent})
+    return {
+        "concepts": concepts,
+        "covers": [[f"c{lo}", f"c{up}"] for lo, up in sorted(lattice.covers)],
+        "top": f"c{len(lattice.concepts) - 1}",
+        "bottom": "c0",
+    }
+
+
+def oracle_legend_rows(lattice):
+    """(id, objects, attributes) per concept."""
+    rows = []
+    for i, c in enumerate(lattice.concepts):
+        extent, intent = _oracle_names(lattice, c)
+        rows.append((f"c{i}", tuple(extent), tuple(intent)))
+    return rows
+
+
+def oracle_to_dot(lattice, labels):
+    def quote(text):
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+
+    ups = oracle_upper_covers(lattice)
+    layers = [0] * len(lattice.concepts)
+    for i in reversed(range(len(lattice.concepts))):
+        if ups[i]:
+            layers[i] = max(layers[u] for u in ups[i]) + 1
+    lines = ["digraph lattice {", "  rankdir=TB;", "  node [shape=box];"]
+    for i, c in enumerate(lattice.concepts):
+        label = f"c{i}"
+        if labels == "id+intent":
+            label += "\\n" + quote(", ".join(_oracle_names(lattice, c)[1]) or "---")
+        lines.append(f'  "c{i}" [label="{label}"];')
+    for depth in range(max(layers, default=0) + 1):
+        members = [i for i, d in enumerate(layers) if d == depth]
+        lines.append("  { rank=same; " + " ".join(f'"c{i}";' for i in members) + " }")
+    for lo, up in sorted(lattice.covers, key=lambda e: (e[1], e[0])):
+        lines.append(f'  "c{up}" -> "c{lo}";')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def oracle_index_of_extent(lattice, extent):
+    by_extent = {c.extent: i for i, c in enumerate(lattice.concepts)}
+    try:
+        return by_extent[frozenset(extent)]
+    except KeyError:
+        raise InputError("unknown-extent", f"no concept has extent {sorted(extent)}") from None
+
+
+def _oracle_concept_at(lattice, index):
+    if not 0 <= index < len(lattice.concepts):
+        raise InputError("index-out-of-range", f"concept index {index} out of range 0..{len(lattice.concepts) - 1}")
+    return lattice.concepts[index]
+
+
+def oracle_meet(lattice, i, j):
+    return oracle_index_of_extent(lattice, _oracle_concept_at(lattice, i).extent & _oracle_concept_at(lattice, j).extent)
+
+
+def oracle_join(lattice, i, j):
+    intent = _oracle_concept_at(lattice, i).intent & _oracle_concept_at(lattice, j).intent
+    return oracle_index_of_extent(lattice, oracle_derive_objects(lattice.context, intent))
+
+
 def oracle_implication_valid(ctx, premise, conclusion):
     feats = features_map(ctx)
     premise, conclusion = frozenset(premise), frozenset(conclusion)
@@ -518,6 +608,21 @@ def contexts_strategy(draw, max_objects=7, max_attributes=7, min_objects=0, min_
         tuple(f"m{j}" for j in range(n_att)),
         tuple(tuple(r) for r in rows),
     )
+
+
+# quotes, backslashes, pipes, separators, control characters and non-ASCII text;
+# every name holds a non-space character, so none is empty once normalized
+escape_names = st.text(st.sampled_from('ab"\\|,; -\x00\x07\n\x1b\x7féß日😀'), max_size=4).filter(normalize_name)
+
+
+@st.composite
+def escaped_contexts_strategy(draw, max_objects=7, max_attributes=7):
+    """Contexts over escape-heavy names, declared in the order drawn rather than sorted."""
+    objects = draw(st.lists(escape_names, max_size=max_objects, unique_by=normalize_name))
+    attributes = draw(st.lists(escape_names, max_size=max_attributes, unique_by=normalize_name))
+    row = st.lists(st.booleans(), min_size=len(attributes), max_size=len(attributes))
+    rows = draw(st.lists(row, min_size=len(objects), max_size=len(objects)))
+    return FormalContext(Dimension.COMBINED, objects, attributes, rows)
 
 
 # names that differ only in whitespace collapse to one feature on construction

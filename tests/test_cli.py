@@ -436,6 +436,34 @@ def test_non_utf8_input_file_exits_one(capsys, req_file, tmp_path, flag):
     assert err.startswith("error: invalid-encoding")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space only on Linux")
+def test_running_out_of_memory_is_one_error_line_with_exit_two(tmp_path):
+    import resource
+
+    n = 22  # contranominal: 2**22 concepts, gigabytes of lattice
+    context = tmp_path / "contranominal.json"
+    context.write_text(json.dumps({
+        "dimension": "combined",
+        "objects": [f"g{i}" for i in range(n)],
+        "attributes": [f"m{j}" for j in range(n)],
+        "incidence": [[int(i != j) for j in range(n)] for i in range(n)],
+    }))
+    target = tmp_path / "lattice.json"
+    cap = 96 * 2**20  # about four times the address space of the interpreter with the package loaded
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgcontinuum", "lattice", "--context", str(context), "--out", str(target)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: resource-exhausted: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not target.exists()
+
+
 BOM = "\ufeff".encode()
 
 

@@ -345,3 +345,43 @@ def test_cli_exits_cleanly_on_surrogate_escapes(data):
             (["delta", *source, "--kg", kg, "--require", str(require), *target], True),
         ]
         assert_clean_exits(runs, out)
+
+
+# --- one error line, whatever user text a message quotes ---------------------------
+
+# control characters and the Unicode line and paragraph separators: each ends a
+# line of stderr if a message passes it through raw
+line_breakers = st.text(st.characters(categories=("Cc", "Zl", "Zp")) | st.sampled_from("k "), min_size=1, max_size=4)
+
+
+def assert_one_error_line(argv):
+    code, out, err = run_main(argv)
+    assert (code, out) == (1, ""), (argv, err)
+    assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1, (argv, err)
+
+
+@fuzz_settings(100)
+@given(key=line_breakers)
+def test_stray_json_keys_give_one_error_line(key):
+    context = {"dimension": "combined", "objects": ["g"], "attributes": ["m"], "incidence": [[1]], key: 0}
+    requirement = {"community": "c", "task": "t", "required": {}}
+    cost = {"add_weight": 1, key: 0}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in ("context", "require", "cost")]
+        for path, doc in zip(paths, (context, requirement, cost)):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        assert_one_error_line(["lattice", "--context", str(paths[0])])
+        assert_one_error_line(["fit", "--corpus", "builtin", "--kg", "Wikidata", "--require", str(paths[1]), "--cost-model", str(paths[2])])
+
+
+@fuzz_settings(100)
+@given(name=line_breakers.filter(lambda s: "\x00" not in s))
+def test_non_utf8_files_give_one_error_line_whatever_their_path(name):
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, require = Path(tmp, name), Path(tmp, "require")
+        bad.write_bytes(b'{"objects": ["g\xff"]}')
+        require.write_text('{"community": "c", "task": "t", "required": {}}', encoding="utf-8")
+        fit = ["fit", "--corpus", "builtin", "--kg", "Wikidata"]
+        assert_one_error_line(["lattice", "--context", str(bad)])
+        assert_one_error_line([*fit, "--require", str(bad)])
+        assert_one_error_line([*fit, "--require", str(require), "--cost-model", str(bad)])

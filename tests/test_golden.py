@@ -1,17 +1,12 @@
 """Rendered CLI outputs match the recorded digests byte for byte (tests/golden/cli_digests.json)."""
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).parent / "golden"
-sys.path.insert(0, str(GOLDEN))
+from golden.record_cli_digests import HERE, argvs, replay
 
-from record_cli_digests import argvs, replay  # noqa: E402
-
-RECORDS = json.loads((GOLDEN / "cli_digests.json").read_text(encoding="utf-8"))
+RECORDS = json.loads((HERE / "cli_digests.json").read_text(encoding="utf-8"))
 
 
 def test_recorded_argvs_are_the_script_argvs():

@@ -1,7 +1,7 @@
 """Legend tables, layer assignment, and DOT output."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from kgcontinuum import (
     Dimension,
@@ -9,12 +9,28 @@ from kgcontinuum import (
     InputError,
     assign_layers,
     build_lattice,
+    join,
     lattice_json,
     legend,
+    meet,
     to_dot,
 )
 
-from helpers import contexts_strategy, corpus, seeded_context
+from helpers import (
+    contexts_strategy,
+    corpus,
+    escape_names,
+    escaped_contexts_strategy,
+    oracle_index_of_extent,
+    oracle_join,
+    oracle_lattice_json,
+    oracle_legend_rows,
+    oracle_meet,
+    oracle_to_dot,
+    oracle_upper_covers,
+    seeded_context,
+    subset_strategy,
+)
 
 
 def prag_prop_lattice():
@@ -194,3 +210,35 @@ def test_dot_single_node_no_edges():
     text = to_dot(build_lattice(ctx))
     assert len([l for l in text.splitlines() if "[label=" in l]) == 1
     assert not [l for l in text.splitlines() if "->" in l]
+
+
+# --- every view against the sort-based oracles -----------------------------------
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return exc.code, exc.message
+
+
+@given(data=st.data())
+def test_lattice_views_match_sort_based_oracles(data):
+    ctx = data.draw(escaped_contexts_strategy())
+    lattice = build_lattice(ctx)
+    assert lattice.upper_covers == oracle_upper_covers(lattice)
+    assert lattice_json(lattice) == oracle_lattice_json(lattice)
+    assert [(r.concept_id, r.objects, r.attributes) for r in legend(lattice).rows] == oracle_legend_rows(lattice)
+    for labels in ("id-only", "id+intent"):
+        assert to_dot(lattice, labels) == oracle_to_dot(lattice, labels)
+    n = len(lattice.concepts)
+    # n and -1 fall outside the index range
+    i, j = data.draw(st.integers(-1, n)), data.draw(st.integers(-1, n))
+    assert outcome(meet, lattice, i, j) == outcome(oracle_meet, lattice, i, j)
+    assert outcome(join, lattice, i, j) == outcome(oracle_join, lattice, i, j)
+    extent = data.draw(subset_strategy(ctx.objects))
+    assert outcome(lattice.index_of_extent, extent) == outcome(oracle_index_of_extent, lattice, extent)
+    # a normalized name never ends in a newline, so this one is outside the context
+    stray = extent | {data.draw(escape_names) + "\n"}
+    assert outcome(lattice.index_of_extent, stray)[0] == "unknown-extent"
+    assert outcome(lattice.index_of_extent, stray) == outcome(oracle_index_of_extent, lattice, stray)
