@@ -1,5 +1,8 @@
 """Write the edge-case contexts and cli_digests.json: exit code and stdout sha256 per argv.
 
+requirement.json and cost-model.json, which the fit and delta argvs read,
+are committed beside this script.
+
 Run from anywhere, only when outputs are meant to change:
 
     PYTHONPATH=src python tests/golden/record_cli_digests.py
@@ -31,6 +34,10 @@ RENDERINGS = [
     ["implications", "--format", "json"],
     ["implications", "--format", "text"],
 ]
+KGS = [
+    "Europeana", "Google Data Commons", "Bio2RDF", "British Museum ResearchSpace", "UniProt",
+    "Wikidata", "EU ODP", "DBpedia", "LOV", "Nanopublications",
+]
 
 
 def _doc(objects, attributes, incidence, dimension="combined"):
@@ -55,13 +62,29 @@ def edge_contexts() -> dict[str, dict]:
         ),
         "seeded-40x12.json": _doc(seeded_objects, [f"m{j}" for j in range(12)], seeded),
         "escapes.json": _doc(escapes_objects, escapes_attributes, escapes, "semantic-property"),
+        # same-a and same-b hold the same column, g1 and g2 the same row
+        "duplicates.json": _doc(
+            ["g0", "g1", "g2", "g3", "g4"],
+            ["same-a", "same-b", "none", "all", "m"],
+            [[1, 1, 0, 1, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 1], [1, 1, 0, 1, 1], [0, 0, 0, 1, 0]],
+        ),
     }
 
 
 def argvs() -> list[list[str]]:
     inputs = [["--corpus", "builtin", "--dimension", d] for d in DIMENSIONS]
     inputs += [["--context", f"contexts/{name}"] for name in edge_contexts()]
-    return [command + source for source in inputs for command in RENDERINGS]
+    out = [command + source for source in inputs for command in RENDERINGS]
+    corpus = ["--corpus", "builtin"]
+    require = ["--require", "requirement.json"]
+    for i, kg in enumerate(KGS):
+        out.append(["fit", *corpus, "--kg", kg, *require])
+        out.append(["fit", *corpus, "--kg", kg, *require, "--cost-model", "cost-model.json"])
+        out.append(["delta", *corpus, "--kg", kg, "--to-kg", KGS[(i + 1) % len(KGS)]])
+        out.append(["delta", *corpus, "--kg", kg, *require])
+    out += [["validate", *source] for source in inputs]
+    out += [["corpus", "export", "--format", f, "--dimension", d] for d in DIMENSIONS for f in ("json", "cxt")]
+    return out
 
 
 def replay(argv: list[str]) -> tuple[int, str]:
