@@ -144,42 +144,25 @@ def next_closure(ctx: FormalContext, current: Iterable[str] | None = None) -> fr
 def _concept_masks(ctx: FormalContext) -> list[tuple[int, int]]:
     """Every concept as an (extent mask, intent mask) pair, in canonical order.
 
-    FCbO (Outrata & Vychodil, Inf. Sci. 2012) over an explicit stack. A
-    concept (A, B) reached by adding attribute y - 1 tries each attribute
-    j >= y outside B: the child extent is A & j' and its intent the AND of
-    the child's rows. The child is kept when that intent agrees with B
-    below j. Otherwise the intent is remembered as failed[j] and handed to
-    the children of (A, B), which skip j without closing whenever failed[j]
-    holds an attribute below j outside their own intent.
+    The extents of a context are exactly the intersections of its attribute
+    extents, the empty intersection being all objects (Ganter & Wille,
+    Formal Concept Analysis, 1999, ch. 1): every extent A is A'' = (A')',
+    the intersection of the columns of A', and the intersection of the
+    columns of any attribute set B is B', an extent. Intersecting each
+    column into the set of extents found so far therefore lists every
+    extent once; each intent is then one AND of the extent's rows.
     """
-    n = len(ctx.attributes)
-    full = (1 << n) - 1
-    attrs = [(j, (1 << j) - 1, column) for j, column in enumerate(ctx.column_masks)]
-    extent = (1 << len(ctx.objects)) - 1
-    found = []
-    stack = [(extent, _intent_mask(ctx, extent), 0, [0] * n)]
-    while stack:
-        extent, intent, start, failed = stack.pop()
-        found.append((extent, intent))
-        failed = failed.copy()  # the parent's list is shared by all its children
-        outside = ~intent
-        for j, low, column in compress(attrs, _bits(full >> start << start & outside)):
-            if failed[j] & low & outside:
-                continue
-            child = extent & column
-            closed = _intent_mask(ctx, child)
-            if closed & low & outside:
-                failed[j] = closed
-            else:
-                stack.append((child, closed, j + 1, failed))
+    extents = {(1 << len(ctx.objects)) - 1}
+    for column in ctx.column_masks:
+        extents |= {extent & column for extent in extents}
     # canonical order: extent size, then the sorted extent names. The object
     # whose name sorts first weighs the most, so among extents of one size
     # the larger weight sum comes first.
     size = len(ctx.objects)
     rank = {name: r for r, name in enumerate(sorted(ctx.objects))}
     weight = [1 << (size - 1 - rank[name]) for name in ctx.objects]
-    found.sort(key=lambda pair: (pair[0].bit_count() << size) - sum(compress(weight, _bits(pair[0]))))
-    return found
+    ordered = sorted(extents, key=lambda extent: (extent.bit_count() << size) - sum(compress(weight, _bits(extent))))
+    return [(extent, _intent_mask(ctx, extent)) for extent in ordered]
 
 
 def _concepts(ctx: FormalContext, pairs: list[tuple[int, int]]) -> tuple[FormalConcept, ...]:

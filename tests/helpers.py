@@ -27,6 +27,7 @@ from kgcontinuum import (
     normalize_name,
     register_feature,
 )
+from kgcontinuum.context import _bits
 
 
 # verdict lines collected by the acceptance suite; the conftest summary hook
@@ -307,8 +308,9 @@ def oracle_intent_mask(ctx, omask):
 def oracle_next_closure_concepts(ctx):
     """Every (extent, intent) pair of names, by NextClosure over the row-scanning operators.
 
-    The package enumerated concepts this way before FCbO; it is kept as the
-    reference that enumeration is checked against.
+    The package's first enumeration, before FCbO and then the intersections
+    of attribute columns; it is kept as the reference that enumeration is
+    checked against.
     """
     n = len(ctx.attributes)
     full = (1 << n) - 1
@@ -334,6 +336,49 @@ def oracle_next_closure_concepts(ctx):
             if candidate & low == mask & low:
                 mask = candidate
                 break
+
+
+def oracle_fcbo_concept_masks(ctx):
+    """Every (extent mask, intent mask) pair in canonical order, by FCbO.
+
+    The package's enumeration before it intersected attribute columns, with
+    the row-scanning oracle_intent_mask in place of its own intent operator.
+    FCbO (Outrata & Vychodil, Inf. Sci. 2012) over an explicit stack. A
+    concept (A, B) reached by adding attribute y - 1 tries each attribute
+    j >= y outside B: the child extent is A & j' and its intent the AND of
+    the child's rows. The child is kept when that intent agrees with B
+    below j. Otherwise the intent is remembered as failed[j] and handed to
+    the children of (A, B), which skip j without closing whenever failed[j]
+    holds an attribute below j outside their own intent.
+    """
+    n = len(ctx.attributes)
+    full = (1 << n) - 1
+    attrs = [(j, (1 << j) - 1, column) for j, column in enumerate(ctx.column_masks)]
+    extent = (1 << len(ctx.objects)) - 1
+    found = []
+    stack = [(extent, oracle_intent_mask(ctx, extent), 0, [0] * n)]
+    while stack:
+        extent, intent, start, failed = stack.pop()
+        found.append((extent, intent))
+        failed = failed.copy()  # the parent's list is shared by all its children
+        outside = ~intent
+        for j, low, column in itertools.compress(attrs, _bits(full >> start << start & outside)):
+            if failed[j] & low & outside:
+                continue
+            child = extent & column
+            closed = oracle_intent_mask(ctx, child)
+            if closed & low & outside:
+                failed[j] = closed
+            else:
+                stack.append((child, closed, j + 1, failed))
+    # canonical order: extent size, then the sorted extent names. The object
+    # whose name sorts first weighs the most, so among extents of one size
+    # the larger weight sum comes first.
+    size = len(ctx.objects)
+    rank = {name: r for r, name in enumerate(sorted(ctx.objects))}
+    weight = [1 << (size - 1 - rank[name]) for name in ctx.objects]
+    found.sort(key=lambda pair: (pair[0].bit_count() << size) - sum(itertools.compress(weight, _bits(pair[0]))))
+    return found
 
 
 def oracle_concepts(ctx):

@@ -28,13 +28,14 @@ from kgcontinuum import (
     next_closure,
 )
 
-from kgcontinuum.fca import _ImplicationIndex, _extent_mask, _intent_mask
+from kgcontinuum.fca import _ImplicationIndex, _concept_masks, _extent_mask, _intent_mask
 
 from helpers import (
     _l_close,
     canonical_sort,
     contexts_strategy,
     corpus,
+    escaped_contexts_strategy,
     lectic_less,
     oracle_basis_l_close,
     oracle_close,
@@ -43,6 +44,7 @@ from helpers import (
     oracle_derive_attributes,
     oracle_derive_objects,
     oracle_extent_mask,
+    oracle_fcbo_concept_masks,
     oracle_implication_valid,
     oracle_intent_mask,
     oracle_next_closure_concepts,
@@ -244,8 +246,8 @@ def test_canonical_order_with_names_out_of_declaration_order(data):
 
 
 def test_staircase_deeper_than_the_recursion_limit():
-    # object i holds attributes 0..i: the concepts form one chain, and the
-    # enumeration tree is a path as long as there are objects
+    # object i holds attributes 0..i: the concepts form one chain as long as
+    # there are objects, deeper than the recursion limit
     n = sys.getrecursionlimit() + 100
     objects = tuple(f"g{i}" for i in range(n))
     attributes = tuple(f"m{j}" for j in range(n))
@@ -264,6 +266,43 @@ def test_degenerate_contexts():
     assert concepts[0] == FormalConcept(frozenset(["g1", "g2", "g3"]), frozenset())
     empty = FormalContext(Dimension.COMBINED, (), (), ())
     assert len(enumerate_concepts(empty)) == 1
+
+
+def _context(objects, attributes, rows):
+    return FormalContext(Dimension.COMBINED, objects, attributes, rows)
+
+
+@pytest.mark.parametrize("strategy", [contexts_strategy(), escaped_contexts_strategy()], ids=["plain", "escaped"])
+@given(data=st.data())
+def test_concept_masks_match_the_fcbo_oracle(strategy, data):
+    ctx = data.draw(strategy)
+    assert _concept_masks(ctx) == oracle_fcbo_concept_masks(ctx)
+
+
+@pytest.mark.parametrize(
+    "ctx, count",
+    [
+        (_context([], [], []), 1),
+        (_context([], ["m0", "m1", "m2"], []), 1),
+        (_context(["g0", "g1", "g2"], [], [[], [], []]), 1),
+        (_context([f"g{i}" for i in range(10)], [f"m{j}" for j in range(10)], [[i != j for j in range(10)] for i in range(10)]), 1024),
+        # same-a and same-b hold the same column, g1 and g2 the same row; none is
+        # an all-zero column and all an all-one column
+        (
+            _context(
+                ["g0", "g1", "g2", "g3", "g4"],
+                ["same-a", "same-b", "none", "all", "m"],
+                [[1, 1, 0, 1, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 1], [1, 1, 0, 1, 1], [0, 0, 0, 1, 0]],
+            ),
+            5,
+        ),
+    ],
+    ids=["empty", "no-objects", "no-attributes", "contranominal-10", "duplicates"],
+)
+def test_concept_masks_match_the_fcbo_oracle_on_edge_contexts(ctx, count):
+    pairs = _concept_masks(ctx)
+    assert len(pairs) == count
+    assert pairs == oracle_fcbo_concept_masks(ctx)
 
 
 # --- lattice ---------------------------------------------------------------------
