@@ -98,15 +98,19 @@ def _load_context_file(path: str, dimension_tag: str | None) -> FormalContext:
     return parse_cxt(text, Dimension.from_tag(dimension_tag))
 
 
+def _corpus_context(tag: str) -> FormalContext:
+    corpus = load_corpus()
+    dim = Dimension.from_tag(tag)
+    return corpus.combined if dim is Dimension.COMBINED else corpus.contexts[dim]
+
+
 def _single_context(args) -> FormalContext:
     if args.corpus is not None and args.context is not None:
         raise InputError("conflicting-input", "use either --corpus or --context, not both")
     if args.corpus is not None:
         if args.dimension is None:
             raise InputError("dimension-flag-required", "--corpus builtin needs --dimension")
-        corpus = load_corpus()
-        dim = Dimension.from_tag(args.dimension)
-        return corpus.combined if dim is Dimension.COMBINED else corpus.contexts[dim]
+        return _corpus_context(args.dimension)
     if args.context is None:
         raise InputError("missing-input", "provide --context PATH or --corpus builtin")
     return _load_context_file(args.context, args.dimension)
@@ -224,9 +228,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_corpus_export(args) -> int:
-    corpus = load_corpus()
-    dim = Dimension.from_tag(args.dimension)
-    ctx = corpus.combined if dim is Dimension.COMBINED else corpus.contexts[dim]
+    ctx = _corpus_context(args.dimension)
     _emit(args, serialize_cxt(ctx) if args.format == "cxt" else serialize_json_context(ctx))
     return 0
 

@@ -109,15 +109,15 @@ def _next_closed_mask(close, mask: int, n: int) -> int | None:
     """Smallest closed set lectically greater than mask, or None at the end.
 
     Walks candidate positions from the highest bit down: drop everything
-    above position i, switch i on, close, and accept the first candidate
-    agreeing with mask below i.
+    above position i, switch i on, close (which may stop once the set
+    disagrees with mask below i) and accept the first that agrees.
     """
     for i in range(n - 1, -1, -1):
         bit = 1 << i
         if mask & bit:
             continue
         low = bit - 1
-        candidate = close((mask & low) | bit)
+        candidate = close((mask & low) | bit, low)
         if candidate & low == mask & low:
             return candidate
     return None
@@ -137,7 +137,7 @@ def next_closure(ctx: FormalContext, current: Iterable[str] | None = None) -> fr
     mask = _attr_mask(ctx, current)
     if _close_attr_mask(ctx, mask) != mask:
         raise InputError("not-closed", "current set is not closed in this context")
-    nxt = _next_closed_mask(lambda m: _close_attr_mask(ctx, m), mask, n)
+    nxt = _next_closed_mask(lambda m, low: _close_attr_mask(ctx, m), mask, n)
     return None if nxt is None else _attr_names(ctx, nxt)
 
 
@@ -256,7 +256,9 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
                 ups[lo].append(up)
             else:
                 minimal ^= bit
-    return ConceptLattice(ctx, tuple(pairs), tuple(map(tuple, ups)))
+    lattice = ConceptLattice(ctx, tuple(pairs), tuple(map(tuple, ups)))
+    lattice.__dict__["_index_by_extent"] = index_of  # the cached property, built once
+    return lattice
 
 
 def meet(lattice: ConceptLattice, i: int, j: int) -> int:
@@ -295,17 +297,18 @@ def implication_holds(ctx: FormalContext, implication: Implication) -> bool:
 
 
 def close_under_implications(implications: Iterable[Implication], attributes: Iterable[str]) -> frozenset[str]:
-    """Least superset of the given attributes respecting every implication."""
-    imps = list(implications)
-    out = set(attributes)
-    changed = True
-    while changed:
-        changed = False
-        for imp in imps:
-            if imp.premise <= out and not imp.conclusion <= out:
-                out |= imp.conclusion
-                changed = True
-    return frozenset(out)
+    """Least superset of the given attributes respecting every implication, by _ImplicationIndex.close."""
+    number: dict[str, int] = {}  # every name met, the attributes first
+
+    def mask(names: Iterable[str]) -> int:
+        return sum({1 << number.setdefault(name, len(number)) for name in names})  # distinct bits: sum is OR
+
+    start = mask(attributes)
+    pairs = [(mask(imp.premise), mask(imp.conclusion)) for imp in implications]
+    index = _ImplicationIndex(len(number))
+    for premise, conclusion in pairs:
+        index.add(premise, premise | conclusion)
+    return frozenset(compress(number, _bits(index.close(start, 0))))
 
 
 def follows_from(implication: Implication, basis: Iterable[Implication]) -> bool:
@@ -314,7 +317,7 @@ def follows_from(implication: Implication, basis: Iterable[Implication]) -> bool
 
 
 class _ImplicationIndex:
-    """Implications found so far, indexed by the attributes their premises lack.
+    """Implications, indexed by the attributes their premises lack.
 
     without[j] is a bitset over implication ids holding every implication
     whose premise lacks attribute j. The implications whose premise lies
@@ -326,7 +329,7 @@ class _ImplicationIndex:
 
     def __init__(self, n: int):
         self.full = (1 << n) - 1
-        self.found: list[tuple[int, int]] = []  # (premise mask, context closure of premise)
+        self.found: list[tuple[int, int]] = []  # (premise mask, premise mask | conclusion mask)
         self.without = [0] * n
 
     def add(self, premise: int, closure: int) -> None:
@@ -336,18 +339,13 @@ class _ImplicationIndex:
         for j in compress(range(len(without)), _bits(self.full & ~premise)):
             without[j] |= bit
 
-    def close(self, mask: int) -> int:
-        """L-closure of a non-empty NextClosure candidate, or a set that fails its lectic check.
+    def close(self, mask: int, low: int) -> int:
+        """L-closure of mask, or a partial set once an attribute in low comes in; low = 0 runs to the fixpoint.
 
         Fires only the implications that became fireable since the last
-        round, ORing their context closures into the set, until none is new.
-        It gives up as soon as it adds an attribute below the candidate's
-        top bit: the partial set returned then disagrees with the candidate
-        below that bit, so _next_closed_mask rejects it as it would the
-        full closure.
+        round, ORing their conclusions into the set, until none is new.
         """
         found, without, full = self.found, self.without, self.full
-        low = (1 << (mask.bit_length() - 1)) - 1  # attributes below the top bit
         keep = mask & low
         fired = 0  # always a subset of fireable, which only grows with mask
         while mask != full:

@@ -5,7 +5,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kgcontinuum import (
     Dimension,
@@ -45,6 +45,7 @@ from helpers import (
     oracle_derive_objects,
     oracle_extent_mask,
     oracle_fcbo_concept_masks,
+    oracle_implication_closure,
     oracle_implication_valid,
     oracle_intent_mask,
     oracle_next_closure_concepts,
@@ -311,6 +312,8 @@ def test_concept_masks_match_the_fcbo_oracle_on_edge_contexts(ctx, count):
 @given(contexts_strategy())
 def test_lattice_covers_match_oracle(ctx):
     lattice = build_lattice(ctx)
+    # the Lindig loop's extent lookup is handed over, so no query builds it again
+    assert lattice.__dict__["_index_by_extent"] == {extent: i for i, (extent, _) in enumerate(lattice.masks)}
     expected = oracle_covers(oracle_concepts(ctx))
     assert set(lattice.covers) == expected
     assert lattice.top_index == len(lattice.concepts) - 1
@@ -479,13 +482,39 @@ def test_l_closure_gives_up_below_the_top_bit():
     index.add(0b0100, 0b0101)  # {m2} -> {m0}
     index.add(0b0001, 0b0011)  # {m0} -> {m1}
     candidate, low = 0b0100, 0b0011  # NextClosure step at m2 from the empty set
-    partial = index.close(candidate)
+    partial = index.close(candidate, low)
     assert _l_close(candidate, index.found) == 0b0111
     assert partial == 0b0101  # stopped once m0, below m2, came in
     assert partial & low != candidate & low  # so the lectic check rejects it
+    # low = 0 forbids nothing: the same candidate runs to the fixpoint
+    assert index.close(candidate, 0) == 0b0111
     # a closure that adds only attributes above the top bit runs to the fixpoint
     index.add(0b0010, 0b1010)  # {m1} -> {m3}
-    assert index.close(0b0010) == _l_close(0b0010, index.found) == 0b1010
+    assert index.close(0b0010, 0b0001) == _l_close(0b0010, index.found) == 0b1010
+
+
+# a few plain names beside escape-heavy ones, so that sets overlap often
+closure_names = st.sampled_from(["a", "b", "c", "", " a ", 'q"', "x\\y", "\n", "\x00", "\u2028", "é日😀"])
+closure_name_sets = st.frozensets(closure_names, max_size=4)
+# Implication drops the premise from a drawn conclusion, so sides may be drawn overlapping
+closure_implications = st.builds(Implication, closure_name_sets, closure_name_sets)
+
+
+@given(imps=st.lists(closure_implications, max_size=8), start=st.lists(closure_names, max_size=5), claim=closure_implications)
+@example(imps=[Implication(frozenset(), frozenset(["a"]))], start=[], claim=Implication(frozenset(), frozenset(["a"])))
+@example(
+    imps=[Implication(frozenset(["a"]), frozenset(["a", "\n"])), Implication(frozenset(["\n", "c"]), frozenset(["é日😀"]))],
+    start=["a", "c", "a", "c"],
+    claim=Implication(frozenset(["c", "a"]), frozenset(["é日😀", "b"])),
+)
+def test_close_under_implications_matches_the_fixpoint_oracle(imps, start, claim):
+    pairs = [(imp.premise, imp.conclusion) for imp in imps]
+    closed = oracle_implication_closure(pairs, start)
+    assert close_under_implications(imps, start) == closed
+    # each argument is read once, so one-shot iterators give the same set
+    assert close_under_implications((imp for imp in imps), iter(start)) == closed
+    entailed = claim.conclusion <= oracle_implication_closure(pairs, claim.premise)
+    assert follows_from(claim, imps) == follows_from(claim, iter(imps)) == entailed
 
 
 def test_close_under_implications_fixpoint():

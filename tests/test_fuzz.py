@@ -385,3 +385,32 @@ def test_non_utf8_files_give_one_error_line_whatever_their_path(name):
         assert_one_error_line(["lattice", "--context", str(bad)])
         assert_one_error_line([*fit, "--require", str(bad)])
         assert_one_error_line([*fit, "--require", str(require), "--cost-model", str(bad)])
+
+
+@fuzz_settings(100)
+@given(text=line_breakers)
+def test_argv_values_give_one_error_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        require = Path(tmp, "require")
+        require.write_text('{"community": "c", "task": "t", "required": {}}', encoding="utf-8")
+        corpus = ["--corpus", "builtin"]
+        single = [*corpus, "--dimension", "combined"]
+        fit = ["fit", *corpus, "--kg", "Wikidata", "--require", str(require)]
+        delta = ["delta", *corpus, "--kg", "Wikidata", "--to-kg", "Wikidata"]
+        # argparse names an extra positional in its usage error without quoting it
+        for argv in (
+            ["lattice", *single],
+            ["legend", *single],
+            ["dot", *single],
+            ["implications", *single],
+            ["validate", *single],
+            fit,
+            delta,
+            ["corpus", "export", "--dimension", "combined"],
+            ["corpus", "verify"],
+        ):
+            assert_one_error_line([*argv, text])
+        # a KG name no context declares, quoted in the unknown-KG message
+        assert_one_error_line(["fit", *corpus, "--kg", text, "--require", str(require)])
+        assert_one_error_line(["delta", *corpus, "--kg", text, "--to-kg", "Wikidata"])
+        assert_one_error_line(["delta", *corpus, "--kg", "Wikidata", "--to-kg", text])
