@@ -10,8 +10,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
-from operator import and_
+from itertools import accumulate, compress
+from operator import and_, or_
 from typing import ClassVar
 
 from .context import FormalContext, _bits
@@ -105,19 +105,19 @@ def close_attributes(ctx: FormalContext, attributes: Iterable[str]) -> frozenset
 # --- closed-set enumeration ---------------------------------------------------
 
 
-def _next_closed_mask(close, mask: int, n: int) -> int | None:
+def _next_closed_mask(ctx: FormalContext, mask: int) -> int | None:
     """Smallest closed set lectically greater than mask, or None at the end.
 
     Walks candidate positions from the highest bit down: drop everything
-    above position i, switch i on, close (which may stop once the set
-    disagrees with mask below i) and accept the first that agrees.
+    above position i, switch i on, close and accept the first that agrees
+    with mask below i.
     """
-    for i in range(n - 1, -1, -1):
+    for i in range(len(ctx.attributes) - 1, -1, -1):
         bit = 1 << i
         if mask & bit:
             continue
         low = bit - 1
-        candidate = close((mask & low) | bit, low)
+        candidate = _close_attr_mask(ctx, (mask & low) | bit)
         if candidate & low == mask & low:
             return candidate
     return None
@@ -131,13 +131,12 @@ def next_closure(ctx: FormalContext, current: Iterable[str] | None = None) -> fr
     attribute set (always closed) has been emitted. The enumeration visits
     every closed set exactly once, so its length equals the concept count.
     """
-    n = len(ctx.attributes)
     if current is None:
         return _attr_names(ctx, _close_attr_mask(ctx, 0))
     mask = _attr_mask(ctx, current)
     if _close_attr_mask(ctx, mask) != mask:
         raise InputError("not-closed", "current set is not closed in this context")
-    nxt = _next_closed_mask(lambda m, low: _close_attr_mask(ctx, m), mask, n)
+    nxt = _next_closed_mask(ctx, mask)
     return None if nxt is None else _attr_names(ctx, nxt)
 
 
@@ -308,7 +307,7 @@ def close_under_implications(implications: Iterable[Implication], attributes: It
     index = _ImplicationIndex(len(number))
     for premise, conclusion in pairs:
         index.add(premise, premise | conclusion)
-    return frozenset(compress(number, _bits(index.close(start, 0))))
+    return frozenset(compress(number, _bits(index.close(start, 0, index.fireable(start)))))
 
 
 def follows_from(implication: Implication, basis: Iterable[Implication]) -> bool:
@@ -317,43 +316,56 @@ def follows_from(implication: Implication, basis: Iterable[Implication]) -> bool
 
 
 class _ImplicationIndex:
-    """Implications, indexed by the attributes their premises lack.
+    """Implications as bitsets over their ids, three per attribute.
 
-    without[j] is a bitset over implication ids holding every implication
-    whose premise lacks attribute j. The implications whose premise lies
-    inside a set X are then the AND of without[j] over the attributes j
-    outside X: at most |M| big-int ANDs, with no scan over the implications.
+    without[j] holds every implication whose premise lacks attribute j. The
+    implications whose premise lies inside a set X are then the AND of
+    without[j] over the attributes j outside X: at most |M| big-int ANDs,
+    with no scan over the implications. upto[i] holds every implication
+    whose premise lies within attributes 0..i, and holding[k] every one
+    whose closure contains attribute k; successor reads these two to reject
+    most lectic candidates with two ANDs instead of a closure.
     """
 
-    __slots__ = ("full", "found", "without")
+    __slots__ = ("full", "found", "without", "upto", "holding")
 
     def __init__(self, n: int):
         self.full = (1 << n) - 1
         self.found: list[tuple[int, int]] = []  # (premise mask, premise mask | conclusion mask)
         self.without = [0] * n
+        self.upto = [0] * n
+        self.holding = [0] * n
 
     def add(self, premise: int, closure: int) -> None:
         bit = 1 << len(self.found)
         self.found.append((premise, closure))
-        without = self.without
-        for j in compress(range(len(without)), _bits(self.full & ~premise)):
+        without, upto, holding = self.without, self.upto, self.holding
+        attrs = range(len(without))
+        for j in compress(attrs, _bits(self.full & ~premise)):
             without[j] |= bit
+        for i in attrs[max(premise.bit_length() - 1, 0) :]:
+            upto[i] |= bit
+        for k in compress(attrs, _bits(closure)):
+            holding[k] |= bit
 
-    def close(self, mask: int, low: int) -> int:
+    def fireable(self, mask: int) -> int:
+        """The implications whose premise lies inside mask: the AND of without outside it, run in C."""
+        return reduce(and_, compress(self.without, _bits(self.full & ~mask)), -1)
+
+    def close(self, mask: int, low: int, fireable: int) -> int:
         """L-closure of mask, or a partial set once an attribute in low comes in; low = 0 runs to the fixpoint.
 
+        fireable is self.fireable(mask), which the caller may know cheaper.
         Fires only the implications that became fireable since the last
         round, ORing their conclusions into the set, until none is new.
         """
-        found, without, full = self.found, self.without, self.full
+        found, full = self.found, self.full
         keep = mask & low
         fired = 0  # always a subset of fireable, which only grows with mask
         while mask != full:
-            # AND the sets of the attributes outside mask; the loop runs in C
-            fireable = reduce(and_, compress(without, _bits(full & ~mask)), -1)
             new = fireable ^ fired
             if not new:
-                return mask
+                break
             fired = fireable
             while new:
                 k = new.bit_length() - 1
@@ -361,7 +373,37 @@ class _ImplicationIndex:
                 mask |= found[k][1]
                 if mask & low != keep:
                     return mask
+            fireable = self.fireable(mask)
         return mask
+
+    def successor(self, mask: int) -> int | None:
+        """Smallest L-closed set lectically greater than the L-closed mask, or None after the full set.
+
+        NextClosure over the attributes outside mask, from the highest down.
+        Let i be the t-th of them counting from 0 at the bottom, and below[t]
+        the AND of without over the t under i. The candidate at i, mask's
+        part below i plus i, first fires below[t] & upto[i]. close gives up
+        in that round, so the lectic check rejects the candidate, exactly
+        when one of those implications brings in one of the t attributes:
+        when the set meets gains[t], the OR of their holding sets. One AND
+        then rejects the candidate; a survivor is closed from that round on.
+        """
+        bits = _bits(self.full & ~mask)
+        outside = list(compress(range(len(self.without)), bits))
+        below = list(accumulate(compress(self.without, bits), and_, initial=-1))
+        gains = list(accumulate(compress(self.holding, bits), or_, initial=0))
+        upto = self.upto
+        for t in range(len(outside) - 1, -1, -1):
+            i = outside[t]
+            fireable = below[t] & upto[i]
+            if fireable & gains[t]:
+                continue
+            bit = 1 << i
+            low = bit - 1
+            candidate = self.close((mask & low) | bit, low, fireable)
+            if candidate & low == mask & low:
+                return candidate
+        return None
 
 
 def implication_basis(ctx: FormalContext) -> tuple[Implication, ...]:
@@ -372,23 +414,18 @@ def implication_basis(ctx: FormalContext) -> tuple[Implication, ...]:
     premise and contributes the implication premise -> closure \\ premise.
     No equally complete set of implications is smaller.
 
-    Each closure under the L implications found so far costs at most |M|
-    big-int ANDs over L-bit sets per round of firing, plus one OR per
-    implication fired, and stops early on a candidate that cannot be
-    canonical; it never scans all L implications.
+    Each step to the next such set builds two prefix lists over the
+    attributes outside the current one, at most 2|M| big-int ANDs and ORs
+    over L-bit sets for the L implications found so far. Most candidates
+    are then rejected by two ANDs; each survivor is closed at a cost of at
+    most |M| ANDs per round of firing plus one OR per implication fired.
+    No step scans all L implications.
     """
-    n = len(ctx.attributes)
-    full = (1 << n) - 1
-    index = _ImplicationIndex(n)
-    mask = 0
-    while True:
+    index = _ImplicationIndex(len(ctx.attributes))
+    mask: int | None = 0
+    while mask is not None:
         closed = _close_attr_mask(ctx, mask)
         if closed != mask:
             index.add(mask, closed)
-        if mask == full:
-            break
-        nxt = _next_closed_mask(index.close, mask, n)
-        if nxt is None:  # cannot happen before the full set is visited
-            break
-        mask = nxt
+        mask = index.successor(mask)
     return tuple(Implication(_attr_names(ctx, p), _attr_names(ctx, c & ~p)) for p, c in index.found)

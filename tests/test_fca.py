@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -26,6 +27,7 @@ from kgcontinuum import (
     lattice_json,
     meet,
     next_closure,
+    parse_json_context,
 )
 
 from kgcontinuum.fca import _ImplicationIndex, _concept_masks, _extent_mask, _intent_mask
@@ -54,6 +56,8 @@ from helpers import (
     seeded_context,
     subset_strategy,
 )
+
+GOLDEN_CONTEXTS = Path(__file__).resolve().parent / "golden" / "contexts"
 
 
 # --- derivation laws -----------------------------------------------------------
@@ -477,20 +481,57 @@ def test_basis_matches_l_close_oracle_on_seeded_contexts(seed, n_obj, n_att, den
     assert basis == oracle_basis_l_close(ctx)
 
 
+@pytest.mark.parametrize(
+    "name", ["empty", "no-objects", "no-attributes", "contranominal-8", "seeded-40x12", "escapes", "duplicates"]
+)
+def test_basis_matches_l_close_oracle_on_edge_contexts(name):
+    ctx = parse_json_context((GOLDEN_CONTEXTS / f"{name}.json").read_text(encoding="utf-8"))
+    assert implication_basis(ctx) == oracle_basis_l_close(ctx)
+
+
 def test_l_closure_gives_up_below_the_top_bit():
     index = _ImplicationIndex(4)
     index.add(0b0100, 0b0101)  # {m2} -> {m0}
     index.add(0b0001, 0b0011)  # {m0} -> {m1}
     candidate, low = 0b0100, 0b0011  # NextClosure step at m2 from the empty set
-    partial = index.close(candidate, low)
+    partial = index.close(candidate, low, index.fireable(candidate))
     assert _l_close(candidate, index.found) == 0b0111
     assert partial == 0b0101  # stopped once m0, below m2, came in
     assert partial & low != candidate & low  # so the lectic check rejects it
     # low = 0 forbids nothing: the same candidate runs to the fixpoint
-    assert index.close(candidate, 0) == 0b0111
+    assert index.close(candidate, 0, index.fireable(candidate)) == 0b0111
     # a closure that adds only attributes above the top bit runs to the fixpoint
     index.add(0b0010, 0b1010)  # {m1} -> {m3}
-    assert index.close(0b0010, 0b0001) == _l_close(0b0010, index.found) == 0b1010
+    assert index.close(0b0010, 0b0001, index.fireable(0b0010)) == _l_close(0b0010, index.found) == 0b1010
+
+
+def test_successor_rejects_a_candidate_by_one_and_exactly_when_its_closure_would_fail():
+    calls = []
+
+    class Recording(_ImplicationIndex):
+        def close(self, mask, low, fireable):
+            calls.append((mask, low, fireable))
+            return super().close(mask, low, fireable)
+
+    index = Recording(3)
+    index.add(0b100, 0b101)  # {m2} -> {m0}
+    mask = 0  # L-closed: no premise is empty; m0, m1 and m2 lie outside
+    # candidate {m2}, at the outside attribute t = 2: its first round fires
+    # below[2] & upto[2], which meets gains[2] since the closure holds m0
+    below, gains = index.without[0] & index.without[1], index.holding[0] | index.holding[1]
+    assert below & index.upto[2] == index.fireable(0b100) == 0b1
+    assert below & index.upto[2] & gains
+    # candidate {m1}, at t = 1: below[1] & upto[1] is empty, so it meets nothing
+    below, gains = index.without[0], index.holding[0]
+    assert below & index.upto[1] == index.fireable(0b010) == 0
+    assert not below & index.upto[1] & gains
+    assert index.successor(mask) == 0b010
+    assert calls == [(0b010, 0b001, 0)]  # {m2} was rejected without a closure, {m1} was closed
+    # closing the rejected candidate anyway gives a set the lectic check rejects
+    low = 0b011
+    assert index.close(0b100, low, index.fireable(0b100)) & low != mask & low
+    # after the full set there is no successor
+    assert index.successor(0b111) is None
 
 
 # a few plain names beside escape-heavy ones, so that sets overlap often
