@@ -27,20 +27,11 @@ from .context import (
     serialize_json_context,
     validate_context,
 )
-from .corpus import load_corpus, verify_corpus
 from .errors import InputError, IntegrityError
 from .fca import build_lattice, implication_basis, lattice_json
-from .profiles import (
-    cost_model_from_json,
-    delta_json,
-    evaluate_fitness,
-    fitness_json,
-    gap_cost,
-    profile_of,
-    requirement_from_json,
-    transformation_delta,
-)
-from .render import EMPTY_MARK, legend, to_dot
+
+# corpus, profiles and render are imported by the commands that use them, so
+# a process pays only for the modules its command needs
 
 _DIMENSION_TAGS = [d.value for d in Dimension]
 
@@ -99,6 +90,8 @@ def _load_context_file(path: str, dimension_tag: str | None) -> FormalContext:
 
 
 def _corpus_context(tag: str) -> FormalContext:
+    from .corpus import load_corpus
+
     corpus = load_corpus()
     dim = Dimension.from_tag(tag)
     return corpus.combined if dim is Dimension.COMBINED else corpus.contexts[dim]
@@ -120,6 +113,8 @@ def _profile_contexts(args) -> list[FormalContext]:
     if args.corpus is not None and args.context:
         raise InputError("conflicting-input", "use either --corpus or --context, not both")
     if args.corpus is not None:
+        from .corpus import load_corpus
+
         corpus = load_corpus()
         return [corpus.contexts[d] for d in PER_DIMENSION]
     if not args.context:
@@ -159,12 +154,16 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_legend(args) -> int:
+    from .render import legend
+
     table = legend(build_lattice(_single_context(args)))
     _emit(args, table.to_csv() if args.format == "csv" else table.to_markdown())
     return 0
 
 
 def _cmd_dot(args) -> int:
+    from .render import to_dot
+
     _emit(args, to_dot(build_lattice(_single_context(args)), labels=args.labels))
     return 0
 
@@ -176,11 +175,22 @@ def _cmd_implications(args) -> int:
     if args.format == "json":
         _emit(args, _json_text([{"premise": p, "conclusion": c} for p, c in rules]))
     else:
+        from .render import EMPTY_MARK
+
         _emit(args, "".join(f"{', '.join(p) or EMPTY_MARK} -> {', '.join(c) or EMPTY_MARK}\n" for p, c in rules))
     return 0
 
 
 def _cmd_fit(args) -> int:
+    from .profiles import (
+        cost_model_from_json,
+        evaluate_fitness,
+        fitness_json,
+        gap_cost,
+        profile_of,
+        requirement_from_json,
+    )
+
     contexts = _profile_contexts(args)
     registry = registry_from_contexts(contexts)
     profile = profile_of(contexts, args.kg)
@@ -195,6 +205,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_delta(args) -> int:
+    from .profiles import delta_json, profile_of, requirement_from_json, transformation_delta
+
     contexts = _profile_contexts(args)
     registry = registry_from_contexts(contexts)
     source = profile_of(contexts, args.kg)
@@ -234,6 +246,8 @@ def _cmd_corpus_export(args) -> int:
 
 
 def _cmd_corpus_verify(args) -> int:
+    from .corpus import load_corpus, verify_corpus
+
     report = verify_corpus(load_corpus())
     _emit(args, _json_text(_report_json(report)))
     return 0 if report.ok else 2

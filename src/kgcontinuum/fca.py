@@ -164,10 +164,6 @@ def _concept_masks(ctx: FormalContext) -> list[tuple[int, int]]:
     return [(extent, _intent_mask(ctx, extent)) for extent in ordered]
 
 
-def _concepts(ctx: FormalContext, pairs: list[tuple[int, int]]) -> tuple[FormalConcept, ...]:
-    return tuple(FormalConcept(_obj_names(ctx, e), _attr_names(ctx, i)) for e, i in pairs)
-
-
 def enumerate_concepts(ctx: FormalContext) -> tuple[FormalConcept, ...]:
     """All formal concepts, in canonical order.
 
@@ -175,7 +171,7 @@ def enumerate_concepts(ctx: FormalContext) -> tuple[FormalConcept, ...]:
     the sorted extent name tuples. Distinct concepts have distinct extents,
     so the order is total.
     """
-    return _concepts(ctx, _concept_masks(ctx))
+    return tuple(FormalConcept(_obj_names(ctx, e), _attr_names(ctx, i)) for e, i in _concept_masks(ctx))
 
 
 # --- lattice --------------------------------------------------------------
@@ -201,7 +197,7 @@ class ConceptLattice:
 
     @cached_property
     def concepts(self) -> tuple[FormalConcept, ...]:
-        return _concepts(self.context, self.masks)
+        return tuple(FormalConcept(frozenset(e), frozenset(i)) for e, i in self.names)
 
     @cached_property
     def covers(self) -> frozenset[tuple[int, int]]:

@@ -13,6 +13,7 @@ from .errors import InputError
 from .fca import ConceptLattice, derive_attributes, derive_objects
 
 _DIMENSION_ORDER = {d: i for i, d in enumerate(Dimension)}
+_TAG = {d: d.value for d in Dimension}  # Enum.value is a Python-level descriptor; read each tag once
 
 
 def _dimensions(*maps: Mapping[Dimension, object]) -> list[Dimension]:
@@ -272,7 +273,7 @@ def cost_model_from_json(text: str) -> CostModel:
 
 
 def _features_json(features: Mapping[Dimension, frozenset[str]]) -> dict[str, list[str]]:
-    return {d.value: sorted(features[d]) for d in _dimensions(features)}
+    return {_TAG[d]: sorted(features[d]) for d in _dimensions(features)}
 
 
 def fitness_json(report: FitnessReport, *, kg: str, requirement: RequirementSet, cost: float | None = None) -> dict:
@@ -297,7 +298,7 @@ def delta_json(delta: Mapping[Dimension, FeatureDelta], *, source: str, target: 
         "source": source,
         "target": target,
         "delta": {
-            d.value: {"add": sorted(delta[d].add), "remove": sorted(delta[d].remove)}
+            _TAG[d]: {"add": sorted(delta[d].add), "remove": sorted(delta[d].remove)}
             for d in _dimensions(delta)
         },
     }

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from itertools import chain
 
@@ -37,6 +35,9 @@ class Legend:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["id", "objects", "attributes"])

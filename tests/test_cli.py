@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import kgcontinuum.cli as cli
+import kgcontinuum.corpus as corpus_module
 from kgcontinuum import KG_NAMES, Dimension, IntegrityError, ValidationReport, Finding, parse_cxt, parse_json_context
 
 from helpers import corpus
@@ -512,7 +513,7 @@ def test_integrity_failure_exits_two(capsys, monkeypatch):
     def boom():
         raise IntegrityError("corpus-corrupt", "synthetic failure")
 
-    monkeypatch.setattr(cli, "load_corpus", boom)
+    monkeypatch.setattr(corpus_module, "load_corpus", boom)  # cli imports it when the command runs
     code, _, err = run(capsys, "corpus", "verify")
     assert code == 2
     assert "corpus-corrupt" in err
@@ -520,7 +521,7 @@ def test_integrity_failure_exits_two(capsys, monkeypatch):
 
 def test_golden_mismatch_exits_two(capsys, monkeypatch):
     report = ValidationReport(errors=(Finding("missing-golden-concept", "synthetic", "pragmatic-property"),))
-    monkeypatch.setattr(cli, "verify_corpus", lambda _: report)
+    monkeypatch.setattr(corpus_module, "verify_corpus", lambda _: report)
     code, out, _ = run(capsys, "corpus", "verify")
     assert code == 2
     assert json.loads(out)["errors"][0]["code"] == "missing-golden-concept"

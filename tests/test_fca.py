@@ -481,12 +481,19 @@ def test_basis_matches_l_close_oracle_on_seeded_contexts(seed, n_obj, n_att, den
     assert basis == oracle_basis_l_close(ctx)
 
 
-@pytest.mark.parametrize(
-    "name", ["empty", "no-objects", "no-attributes", "contranominal-8", "seeded-40x12", "escapes", "duplicates"]
-)
+EDGE_CONTEXTS = ["empty", "no-objects", "no-attributes", "contranominal-8", "seeded-40x12", "escapes", "duplicates"]
+
+
+@pytest.mark.parametrize("name", EDGE_CONTEXTS)
 def test_basis_matches_l_close_oracle_on_edge_contexts(name):
     ctx = parse_json_context((GOLDEN_CONTEXTS / f"{name}.json").read_text(encoding="utf-8"))
     assert implication_basis(ctx) == oracle_basis_l_close(ctx)
+
+
+@pytest.mark.parametrize("name", EDGE_CONTEXTS)
+def test_lattice_concepts_from_names_equal_enumerated_concepts(name):
+    ctx = parse_json_context((GOLDEN_CONTEXTS / f"{name}.json").read_text(encoding="utf-8"))
+    assert build_lattice(ctx).concepts == enumerate_concepts(ctx)
 
 
 def test_l_closure_gives_up_below_the_top_bit():
