@@ -222,19 +222,13 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.corpus is not None or args.context is None:
-        ctx = _single_context(args)  # usage errors propagate as usual
-        report = validate_context(ctx)
-    else:
-        try:
-            ctx = _load_context_file(args.context, args.dimension)
-        except InputError as exc:
-            if exc.code in ("dimension-flag-required", "dimension-flag-forbidden"):
-                raise
-            report = ValidationReport(errors=(Finding(exc.code, exc.message, exc.location),))
-            _emit(args, _json_text(_report_json(report)))
-            return 1
-        report = validate_context(ctx)
+    try:
+        report = validate_context(_single_context(args))
+    except InputError as exc:
+        # a flaw in a --context file is a finding; usage errors propagate as usual
+        if args.corpus is not None or args.context is None or exc.code in ("dimension-flag-required", "dimension-flag-forbidden"):
+            raise
+        report = ValidationReport(errors=(Finding(exc.code, exc.message, exc.location),))
     _emit(args, _json_text(_report_json(report)))
     return 0 if report.ok else 1
 

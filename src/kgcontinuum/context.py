@@ -84,6 +84,8 @@ def _unique_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
     out: list[str] = []
     seen: set[str] = set()
     for raw in names:
+        if not isinstance(raw, str):
+            raise InputError("schema-violation", f"{kind} names must be strings")
         name = normalize_name(raw)
         if not name:
             raise InputError("empty-name", f"{kind} name is empty after normalization")
@@ -329,9 +331,8 @@ def parse_json_context(text: str) -> FormalContext:
     if not isinstance(doc["dimension"], str):
         raise InputError("schema-violation", "dimension must be a string")
     dimension = Dimension.from_tag(doc["dimension"])
-    for key in ("objects", "attributes"):
-        if not isinstance(doc[key], list) or not all(isinstance(x, str) for x in doc[key]):
-            raise InputError("schema-violation", f"{key} must be a list of strings")
+    if not isinstance(doc["objects"], list) or not isinstance(doc["attributes"], list):
+        raise InputError("schema-violation", "objects and attributes must be lists of names")
     inc = doc["incidence"]
     if not isinstance(inc, list):
         raise InputError("schema-violation", "incidence must be a list of rows")

@@ -30,7 +30,15 @@ def _sides(
 
 
 def _freeze(features: Mapping[Dimension, Iterable[str]]) -> Mapping[Dimension, frozenset[str]]:
-    return MappingProxyType({d: frozenset(map(normalize_name, features[d])) for d in _dimensions(features)})
+    frozen: dict[Dimension, frozenset[str]] = {}
+    for d in _dimensions(features):
+        feats = features[d]
+        # a string or a mapping iterates as characters or keys, not as the feature names meant
+        names = None if isinstance(feats, (str, Mapping)) or not isinstance(feats, Iterable) else tuple(feats)
+        if names is None or not all(isinstance(f, str) for f in names):
+            raise InputError("schema-violation", f"{d.value} features must be a collection of strings")
+        frozen[d] = frozenset(map(normalize_name, names))
+    return MappingProxyType(frozen)
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,8 @@ class RequirementSet:
     required: Mapping[Dimension, frozenset[str]]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.community, str) or not isinstance(self.task, str):
+            raise InputError("schema-violation", "community and task must be strings")
         object.__setattr__(self, "required", _freeze(self.required))
 
 
@@ -82,6 +92,18 @@ class FeatureDelta:
     remove: frozenset[str]
 
 
+def _weight(value: float) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InputError("schema-violation", "cost weights must be numbers")
+    try:
+        weight = float(value)
+    except OverflowError:  # an int beyond the float range
+        weight = math.inf
+    if not 0 <= weight < math.inf:  # NaN fails every comparison
+        raise InputError("invalid-weight", "cost weights must be finite, non-negative numbers")
+    return weight
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Weights for feature additions and removals; overrides are per feature name."""
@@ -91,9 +113,16 @@ class CostModel:
     overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        weights = {normalize_name(k): float(v) for k, v in self.overrides.items()}
-        if self.add_weight < 0 or self.remove_weight < 0 or any(w < 0 for w in weights.values()):
-            raise InputError("invalid-weight", "cost weights must be non-negative")
+        weights: dict[str, float] = {}
+        for key, value in self.overrides.items():
+            if not isinstance(key, str):
+                raise InputError("schema-violation", "override names must be strings")
+            name = normalize_name(key)
+            if name in weights:
+                raise InputError("duplicate-feature", f"feature {name!r} has two overrides", location=name)
+            weights[name] = _weight(value)
+        object.__setattr__(self, "add_weight", _weight(self.add_weight))
+        object.__setattr__(self, "remove_weight", _weight(self.remove_weight))
         object.__setattr__(self, "overrides", MappingProxyType(weights))
 
     def add_cost(self, feature: str) -> float:
@@ -226,50 +255,20 @@ def transformation_delta(
 def requirement_from_json(text: str) -> RequirementSet:
     """Parse {"community", "task", "required": {"<dimension>": [...]}}."""
     doc = json_object(text, ("community", "task", "required"))
-    community, task, required = doc["community"], doc["task"], doc["required"]
-    if not isinstance(community, str) or not isinstance(task, str):
-        raise InputError("schema-violation", "community and task must be strings")
+    required = doc["required"]
     if not isinstance(required, dict):
         raise InputError("schema-violation", "required must map dimension tags to feature lists")
-    by_dim: dict[Dimension, frozenset[str]] = {}
-    for tag, feats in required.items():
-        if not isinstance(feats, list) or not all(isinstance(f, str) for f in feats):
-            raise InputError("schema-violation", f"required[{tag!r}] must be a list of strings")
-        by_dim[Dimension.from_tag(tag)] = frozenset(feats)
-    return RequirementSet(community, task, by_dim)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite_weight(value: int | float) -> float:
-    try:
-        weight = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        weight = math.inf
-    if not math.isfinite(weight):
-        raise InputError("invalid-weight", "cost weights must be finite numbers")
-    return weight
+    by_dim = {Dimension.from_tag(tag): feats for tag, feats in required.items()}
+    return RequirementSet(doc["community"], doc["task"], by_dim)
 
 
 def cost_model_from_json(text: str) -> CostModel:
-    """Parse {"add_weight"?, "remove_weight"?, "overrides"?}; weights are finite numbers, not booleans."""
+    """Parse {"add_weight"?, "remove_weight"?, "overrides"?}; CostModel checks the weights."""
     doc = json_object(text, allowed=("add_weight", "remove_weight", "overrides"))
-    add_weight = doc.get("add_weight", 1.0)
-    remove_weight = doc.get("remove_weight", 0.0)
     overrides = doc.get("overrides", {})
-    if not _is_number(add_weight) or not _is_number(remove_weight):
-        raise InputError("schema-violation", "weights must be numbers")
-    if not isinstance(overrides, dict) or not all(
-        isinstance(k, str) and _is_number(v) for k, v in overrides.items()
-    ):
+    if not isinstance(overrides, dict):
         raise InputError("schema-violation", "overrides must map feature names to numbers")
-    return CostModel(
-        _finite_weight(add_weight),
-        _finite_weight(remove_weight),
-        {k: _finite_weight(v) for k, v in overrides.items()},
-    )
+    return CostModel(doc.get("add_weight", 1.0), doc.get("remove_weight", 0.0), overrides)
 
 
 def _features_json(features: Mapping[Dimension, frozenset[str]]) -> dict[str, list[str]]:

@@ -112,6 +112,13 @@ def test_constructor_rejects_empty_name():
     assert err.value.code == "empty-name"
 
 
+@pytest.mark.parametrize("objects,attributes", [((1,), ("m",)), (("g",), (None,))], ids=["object", "attribute"])
+def test_constructor_rejects_non_string_names(objects, attributes):
+    with pytest.raises(InputError) as err:
+        FormalContext(Dimension.COMBINED, objects, attributes, ((True,),))
+    assert err.value.code == "schema-violation"
+
+
 def test_constructor_rejects_row_count_mismatch():
     with pytest.raises(InputError) as err:
         FormalContext(Dimension.COMBINED, ("g1", "g2"), ("m",), ((True,),))

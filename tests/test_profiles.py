@@ -1,6 +1,7 @@
 """Profiles, fitness evaluation, cost models, positions, and deltas."""
 
 import json
+import math
 from types import MappingProxyType
 
 import pytest
@@ -444,17 +445,52 @@ def test_json_parsers_reject_deep_nesting_and_constants(parse, payload):
     assert err.value.code == "invalid-json"
 
 
-@pytest.mark.parametrize("text,code", [
-    ('{"add_weight": true}', "schema-violation"),
-    ('{"overrides": {"x": false}}', "schema-violation"),
-    ('{"remove_weight": 1e400}', "invalid-weight"),
-    ('{"overrides": {"x": -1e999}}', "invalid-weight"),
-    ('{"add_weight": 1' + "0" * 400 + '}', "invalid-weight"),
+# each weight as a cost-model document writes it (None where JSON cannot) and as CostModel gets it
+@pytest.mark.parametrize("text,fields,code", [
+    ('{"add_weight": true}', {"add_weight": True}, "schema-violation"),
+    ('{"overrides": {"x": false}}', {"overrides": {"x": False}}, "schema-violation"),
+    ('{"add_weight": "1"}', {"add_weight": "1"}, "schema-violation"),
+    ('{"remove_weight": 1e400}', {"remove_weight": math.inf}, "invalid-weight"),
+    ('{"overrides": {"x": -1e999}}', {"overrides": {"x": -math.inf}}, "invalid-weight"),
+    ('{"add_weight": 1' + "0" * 400 + '}', {"add_weight": 10**400}, "invalid-weight"),
+    (None, {"add_weight": math.nan}, "invalid-weight"),
+    (None, {"overrides": {"x": math.nan}}, "invalid-weight"),
 ])
-def test_cost_model_rejects_bool_and_non_finite_weights(text, code):
+def test_cost_model_rejects_bool_and_non_finite_weights(text, fields, code):
     with pytest.raises(InputError) as err:
-        cost_model_from_json(text)
+        CostModel(**fields)
     assert err.value.code == code
+    if text is not None:
+        with pytest.raises(InputError) as err:
+            cost_model_from_json(text)
+        assert err.value.code == code
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cost_model_from_json('{"overrides": {"SHACL": 5, "SHACL ": 0}}'),
+    lambda: CostModel(overrides={"SHACL": 5, "SHACL ": 0}),
+], ids=["json", "CostModel"])
+def test_cost_model_rejects_overrides_that_normalize_to_one_name(build):
+    with pytest.raises(InputError) as err:
+        build()
+    assert (err.value.code, err.value.location) == ("duplicate-feature", "SHACL")
+
+
+# the value types check their own fields, so library callers get the errors the JSON readers give
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: RequirementSet("c", "t", {SP: "x"}), id="requirement-string-features"),
+    pytest.param(lambda: KgProfile("kg", {SP: "x"}), id="profile-string-features"),
+    pytest.param(lambda: KgProfile("kg", {SP: ["x", 1]}), id="profile-int-feature"),
+    pytest.param(lambda: RequirementSet("c", "t", {SP: None}), id="requirement-null-features"),
+    pytest.param(lambda: RequirementSet("c", "t", {SP: {"x": 1}}), id="requirement-mapping-features"),
+    pytest.param(lambda: RequirementSet(1, "t", {}), id="requirement-int-community"),
+    pytest.param(lambda: RequirementSet("c", None, {}), id="requirement-null-task"),
+    pytest.param(lambda: CostModel(overrides={1: 2.0}), id="cost-model-int-override-name"),
+])
+def test_value_types_reject_fields_of_the_wrong_type(build):
+    with pytest.raises(InputError) as err:
+        build()
+    assert err.value.code == "schema-violation"
 
 
 def test_fitness_json_shape():
