@@ -25,7 +25,6 @@ _EXPORTS = {
             "Finding",
             "FormalContext",
             "RegistryEntry",
-            "RetroCheckReport",
             "ValidationReport",
             "attribute_frequency",
             "merge_contexts",
@@ -77,7 +76,7 @@ _EXPORTS = {
             "requirement_from_json",
             "transformation_delta",
         )),
-        ("render", ("EMPTY_MARK", "Legend", "LegendRow", "LayerAssignment", "assign_layers", "legend", "to_dot")),
+        ("render", ("EMPTY_MARK", "Legend", "assign_layers", "legend", "to_dot")),
     )
     for name in names
 }

@@ -80,10 +80,20 @@ PER_DIMENSION = (
 )
 
 
+def _collection(items: Iterable, what: str) -> tuple:
+    """items as a tuple; a string, a mapping or a non-iterable raises InputError("schema-violation").
+
+    A string or a mapping iterates as characters or keys, not as the items meant.
+    """
+    if isinstance(items, (str, Mapping)) or not isinstance(items, Iterable):
+        raise InputError("schema-violation", f"{what} must be a collection, not {type(items).__name__}")
+    return tuple(items)
+
+
 def _unique_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
     out: list[str] = []
     seen: set[str] = set()
-    for raw in names:
+    for raw in _collection(names, f"{kind} names"):
         if not isinstance(raw, str):
             raise InputError("schema-violation", f"{kind} names must be strings")
         name = normalize_name(raw)
@@ -111,9 +121,11 @@ class FormalContext:
     incidence: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dimension, Dimension):
+            raise InputError("schema-violation", f"dimension must be a Dimension, not {type(self.dimension).__name__}")
         objects = _unique_names(self.objects, "object")
         attributes = _unique_names(self.attributes, "attribute")
-        rows = tuple(tuple(map(bool, row)) for row in self.incidence)
+        rows = tuple(tuple(map(bool, _collection(row, "incidence rows"))) for row in _collection(self.incidence, "incidence"))
         if len(rows) != len(objects):
             raise InputError(
                 "count-mismatch",
@@ -331,8 +343,6 @@ def parse_json_context(text: str) -> FormalContext:
     if not isinstance(doc["dimension"], str):
         raise InputError("schema-violation", "dimension must be a string")
     dimension = Dimension.from_tag(doc["dimension"])
-    if not isinstance(doc["objects"], list) or not isinstance(doc["attributes"], list):
-        raise InputError("schema-violation", "objects and attributes must be lists of names")
     inc = doc["incidence"]
     if not isinstance(inc, list):
         raise InputError("schema-violation", "incidence must be a list of rows")
@@ -455,20 +465,6 @@ class FeatureRegistry:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class RetroCheckReport:
-    """Objects whose rows predate a newly registered feature.
-
-    Their incidence was recorded before the feature existed, so each listed
-    object needs its row re-examined by hand; the toolkit only tracks the
-    debt, it cannot settle it.
-    """
-
-    feature: str
-    dimension: Dimension
-    pending: tuple[str, ...]
-
-
 def _registered_entry(
     by_name: Mapping[str, RegistryEntry], name: str, dimension: Dimension
 ) -> RegistryEntry | None:
@@ -495,15 +491,19 @@ def register_feature(
     *,
     introduced_by: str | None = None,
     description: str = "",
-) -> tuple[FeatureRegistry, RetroCheckReport]:
-    """Add a feature to the registry, reporting objects that need re-checking.
+) -> tuple[FeatureRegistry, tuple[str, ...]]:
+    """Add a feature to the registry; return the new registry and the objects pending a re-check.
 
+    The pending objects are those of the given contexts under dimension
+    that lack the feature, once each in first-seen order. Their rows were
+    recorded before the feature existed, so each needs its row re-examined
+    by hand; the toolkit only tracks the debt, it cannot settle it.
     Registering a name that already exists under the same dimension is a
-    no-op with an empty report; under a different dimension it is an error.
+    no-op with nothing pending; under a different dimension it is an error.
     """
     name = normalize_name(name)
     if _registered_entry(registry._by_name, name, dimension) is not None:
-        return registry, RetroCheckReport(name, dimension, ())
+        return registry, ()
     # a dict as an ordered set keeps each object once, where it was first seen
     pending = dict.fromkeys(
         obj
@@ -512,7 +512,7 @@ def register_feature(
         for obj in ctx.objects
     )
     entry = RegistryEntry(name, dimension, introduced_by, description)
-    return FeatureRegistry(registry.entries + (entry,)), RetroCheckReport(name, dimension, tuple(pending))
+    return FeatureRegistry(registry.entries + (entry,)), tuple(pending)
 
 
 def registry_from_contexts(contexts: Iterable[FormalContext]) -> FeatureRegistry:

@@ -8,16 +8,16 @@ from dataclasses import dataclass, field
 from itertools import compress
 from types import MappingProxyType
 
-from .context import Dimension, FeatureRegistry, FormalContext, json_object, normalize_name
+from .context import Dimension, FeatureRegistry, FormalContext, _collection, json_object, normalize_name
 from .errors import InputError
-from .fca import ConceptLattice, derive_attributes, derive_objects
+from .fca import ConceptLattice, _extent_mask, _intent_mask, _obj_mask
 
 _DIMENSION_ORDER = {d: i for i, d in enumerate(Dimension)}
 _TAG = {d: d.value for d in Dimension}  # Enum.value is a Python-level descriptor; read each tag once
 
 
 def _dimensions(*maps: Mapping[Dimension, object]) -> list[Dimension]:
-    """Every key of the maps once, in Dimension declaration order; a key that is not a Dimension raises KeyError."""
+    """Every key of the maps once, in Dimension declaration order; every key must be a Dimension, as _freeze checks."""
     return sorted(set().union(*maps), key=_DIMENSION_ORDER.__getitem__)
 
 
@@ -30,13 +30,13 @@ def _sides(
 
 
 def _freeze(features: Mapping[Dimension, Iterable[str]]) -> Mapping[Dimension, frozenset[str]]:
+    if not isinstance(features, Mapping) or not all(isinstance(d, Dimension) for d in features):
+        raise InputError("schema-violation", "feature sets must be a mapping keyed by Dimension members")
     frozen: dict[Dimension, frozenset[str]] = {}
     for d in _dimensions(features):
-        feats = features[d]
-        # a string or a mapping iterates as characters or keys, not as the feature names meant
-        names = None if isinstance(feats, (str, Mapping)) or not isinstance(feats, Iterable) else tuple(feats)
-        if names is None or not all(isinstance(f, str) for f in names):
-            raise InputError("schema-violation", f"{d.value} features must be a collection of strings")
+        names = _collection(features[d], f"{d.value} features")
+        if not all(isinstance(f, str) for f in names):
+            raise InputError("schema-violation", f"{d.value} features must be strings")
         frozen[d] = frozenset(map(normalize_name, names))
     return MappingProxyType(frozen)
 
@@ -54,6 +54,8 @@ class KgProfile:
     features: Mapping[Dimension, frozenset[str]]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kg, str):
+            raise InputError("schema-violation", "the KG name must be a string")
         object.__setattr__(self, "kg", normalize_name(self.kg))
         object.__setattr__(self, "features", _freeze(self.features))
 
@@ -113,6 +115,8 @@ class CostModel:
     overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.overrides, Mapping):
+            raise InputError("schema-violation", "overrides must map feature names to numbers")
         weights: dict[str, float] = {}
         for key, value in self.overrides.items():
             if not isinstance(key, str):
@@ -223,9 +227,8 @@ def common_position(lattice: ConceptLattice, kgs: Iterable[str]) -> int:
     Its intent is exactly the feature set the KGs share.
     """
     ctx = lattice.context
-    names = [normalize_name(k) for k in kgs]
-    extent = derive_objects(ctx, derive_attributes(ctx, names))
-    return lattice.index_of_extent(extent)
+    intent = _intent_mask(ctx, _obj_mask(ctx, map(normalize_name, kgs)))
+    return lattice._index_by_extent[_extent_mask(ctx, intent)]
 
 
 def transformation_delta(
@@ -263,12 +266,9 @@ def requirement_from_json(text: str) -> RequirementSet:
 
 
 def cost_model_from_json(text: str) -> CostModel:
-    """Parse {"add_weight"?, "remove_weight"?, "overrides"?}; CostModel checks the weights."""
+    """Parse {"add_weight"?, "remove_weight"?, "overrides"?}; CostModel checks the fields."""
     doc = json_object(text, allowed=("add_weight", "remove_weight", "overrides"))
-    overrides = doc.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise InputError("schema-violation", "overrides must map feature names to numbers")
-    return CostModel(doc.get("add_weight", 1.0), doc.get("remove_weight", 0.0), overrides)
+    return CostModel(doc.get("add_weight", 1.0), doc.get("remove_weight", 0.0), doc.get("overrides", {}))
 
 
 def _features_json(features: Mapping[Dimension, frozenset[str]]) -> dict[str, list[str]]:

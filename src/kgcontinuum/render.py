@@ -13,24 +13,15 @@ EMPTY_MARK = "---"
 
 
 @dataclass(frozen=True)
-class LegendRow:
-    concept_id: str
-    objects: tuple[str, ...]
-    attributes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Legend:
-    """One row per concept, in canonical order."""
+    """One (objects, attributes) row per concept, in canonical order: row i is concept c{i}."""
 
-    rows: tuple[LegendRow, ...]
+    rows: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
     def to_markdown(self) -> str:
         lines = ["| ID | Objects | Attributes |", "| --- | --- | --- |"]
-        for row in self.rows:
-            objs = ", ".join(row.objects) or EMPTY_MARK
-            attrs = ", ".join(row.attributes) or EMPTY_MARK
-            cells = [row.concept_id, objs, attrs]
+        for i, (objects, attributes) in enumerate(self.rows):
+            cells = [f"c{i}", ", ".join(objects) or EMPTY_MARK, ", ".join(attributes) or EMPTY_MARK]
             lines.append("| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |")
         return "\n".join(lines) + "\n"
 
@@ -41,39 +32,18 @@ class Legend:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["id", "objects", "attributes"])
-        for row in self.rows:
-            writer.writerow([
-                row.concept_id,
-                "; ".join(row.objects) or EMPTY_MARK,
-                "; ".join(row.attributes) or EMPTY_MARK,
-            ])
+        for i, (objects, attributes) in enumerate(self.rows):
+            writer.writerow([f"c{i}", "; ".join(objects) or EMPTY_MARK, "; ".join(attributes) or EMPTY_MARK])
         return buf.getvalue()
 
 
 def legend(lattice: ConceptLattice) -> Legend:
     """Tabulate every concept; names are listed in declaration order."""
-    return Legend(tuple(LegendRow(f"c{i}", extent, intent) for i, (extent, intent) in enumerate(lattice.names)))
+    return Legend(lattice.names)
 
 
-@dataclass(frozen=True)
-class LayerAssignment:
-    """Concept index -> drawing depth; the top concept sits at layer 0."""
-
-    layers: tuple[int, ...]
-
-    def __getitem__(self, index: int) -> int:
-        return self.layers[index]
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    @property
-    def depth(self) -> int:
-        return max(self.layers, default=0)
-
-
-def assign_layers(lattice: ConceptLattice) -> LayerAssignment:
-    """Longest cover-path distance from the top.
+def assign_layers(lattice: ConceptLattice) -> tuple[int, ...]:
+    """Each concept's drawing depth: its longest cover-path distance from the top, which sits at 0.
 
     Layers strictly increase downward along every cover edge, so edges never
     run within a rank.
@@ -85,7 +55,7 @@ def assign_layers(lattice: ConceptLattice) -> LayerAssignment:
         ups = lattice.upper_covers[i]
         if ups:
             layers[i] = max(layers[u] for u in ups) + 1
-    return LayerAssignment(tuple(layers))
+    return tuple(layers)
 
 
 def _quote(text: str) -> str:
@@ -100,7 +70,7 @@ def to_dot(lattice: ConceptLattice, labels: str = "id-only") -> str:
     """
     if labels not in ("id-only", "id+intent"):
         raise InputError("unknown-label-mode", f"labels must be 'id-only' or 'id+intent', got {labels!r}")
-    layer = assign_layers(lattice)
+    layers = assign_layers(lattice)
     lines = ["digraph lattice {", "  rankdir=TB;", "  node [shape=box];"]
     for i in range(len(lattice.masks)):
         label = _quote(f"c{i}")
@@ -108,8 +78,8 @@ def to_dot(lattice: ConceptLattice, labels: str = "id-only") -> str:
             intent = ", ".join(lattice.names[i][1]) or EMPTY_MARK
             label = f"{label}\\n{_quote(intent)}"
         lines.append(f'  "c{i}" [label="{label}"];')
-    ranks: list[list[int]] = [[] for _ in range(layer.depth + 1)]
-    for i, depth in enumerate(layer.layers):
+    ranks: list[list[int]] = [[] for _ in range(max(layers, default=0) + 1)]
+    for i, depth in enumerate(layers):
         ranks[depth].append(i)
     for members in ranks:
         lines.append("  { rank=same; " + " ".join(f'"c{i}";' for i in members) + " }")

@@ -112,10 +112,24 @@ def test_constructor_rejects_empty_name():
     assert err.value.code == "empty-name"
 
 
-@pytest.mark.parametrize("objects,attributes", [((1,), ("m",)), (("g",), (None,))], ids=["object", "attribute"])
-def test_constructor_rejects_non_string_names(objects, attributes):
+# a string or a mapping would iterate as characters or keys, so it is rejected like a non-iterable
+@pytest.mark.parametrize("fields", [
+    pytest.param({"objects": (1,)}, id="object"),
+    pytest.param({"attributes": (None,)}, id="attribute"),
+    pytest.param({"dimension": "combined"}, id="tag-dimension"),
+    pytest.param({"objects": "g"}, id="string-objects"),
+    pytest.param({"attributes": {"m": 1}}, id="mapping-attributes"),
+    pytest.param({"objects": 5}, id="int-objects"),
+    pytest.param({"incidence": "X"}, id="string-incidence"),
+    pytest.param({"incidence": 5}, id="int-incidence"),
+    pytest.param({"incidence": ("X",)}, id="string-row"),
+    pytest.param({"incidence": ({"m": 1},)}, id="mapping-row"),
+    pytest.param({"incidence": (1,)}, id="int-row"),
+])
+def test_constructor_rejects_non_string_names(fields):
+    fields = {"dimension": Dimension.COMBINED, "objects": ("g",), "attributes": ("m",), "incidence": ((True,),), **fields}
     with pytest.raises(InputError) as err:
-        FormalContext(Dimension.COMBINED, objects, attributes, ((True,),))
+        FormalContext(**fields)
     assert err.value.code == "schema-violation"
 
 
@@ -504,12 +518,12 @@ def test_universal_and_singleton_helpers():
 
 def test_register_feature_reports_pending_objects():
     ctx = tiny()
-    registry, report = register_feature(FeatureRegistry(), "m3", Dimension.SEMANTIC_PROPERTY, [])
-    assert report.pending == ()
+    registry, pending = register_feature(FeatureRegistry(), "m3", Dimension.SEMANTIC_PROPERTY, [])
+    assert pending == ()
     # a same-dimension context lacking the feature marks all its objects
     sem = FormalContext(Dimension.SEMANTIC_PROPERTY, ctx.objects, ctx.attributes, ctx.incidence)
-    registry2, report2 = register_feature(FeatureRegistry(), "m3", Dimension.SEMANTIC_PROPERTY, [sem])
-    assert report2.pending == ("g1", "g2", "g3")
+    registry2, pending2 = register_feature(FeatureRegistry(), "m3", Dimension.SEMANTIC_PROPERTY, [sem])
+    assert pending2 == ("g1", "g2", "g3")
     assert registry2.get("m3").dimension is Dimension.SEMANTIC_PROPERTY
 
 
@@ -517,27 +531,27 @@ def test_register_feature_lists_shared_objects_once_in_first_seen_order():
     first = FormalContext(Dimension.SEMANTIC_PROPERTY, ("g2", "g1"), ("m",), ((True,), (False,)))
     other = FormalContext(Dimension.PRAGMATIC_PROPERTY, ("g0",), ("m",), ((True,),))
     second = FormalContext(Dimension.SEMANTIC_PROPERTY, ("g3", "g1", "g2"), ("n",), ((True,), (True,), (False,)))
-    _, report = register_feature(FeatureRegistry(), "new", Dimension.SEMANTIC_PROPERTY, [first, other, second, first])
-    assert report.pending == ("g2", "g1", "g3")
+    _, pending = register_feature(FeatureRegistry(), "new", Dimension.SEMANTIC_PROPERTY, [first, other, second, first])
+    assert pending == ("g2", "g1", "g3")
 
 
 def test_register_feature_ignores_other_dimensions():
     sem = FormalContext(Dimension.SEMANTIC_PROPERTY, ("g",), ("m",), ((True,),))
-    _, report = register_feature(FeatureRegistry(), "new", Dimension.PRAGMATIC_PROPERTY, [sem])
-    assert report.pending == ()
+    _, pending = register_feature(FeatureRegistry(), "new", Dimension.PRAGMATIC_PROPERTY, [sem])
+    assert pending == ()
 
 
 def test_register_feature_skips_contexts_already_carrying_it():
     sem = FormalContext(Dimension.SEMANTIC_PROPERTY, ("g",), ("m",), ((True,),))
-    _, report = register_feature(FeatureRegistry(), "m", Dimension.SEMANTIC_PROPERTY, [sem])
-    assert report.pending == ()
+    _, pending = register_feature(FeatureRegistry(), "m", Dimension.SEMANTIC_PROPERTY, [sem])
+    assert pending == ()
 
 
 def test_register_feature_same_dimension_is_noop():
     registry, _ = register_feature(FeatureRegistry(), "f", Dimension.SEMANTIC_PROPERTY)
-    registry2, report = register_feature(registry, "f", Dimension.SEMANTIC_PROPERTY, [tiny()])
+    registry2, pending = register_feature(registry, "f", Dimension.SEMANTIC_PROPERTY, [tiny()])
     assert registry2 == registry
-    assert report.pending == ()
+    assert pending == ()
 
 
 def test_register_feature_dimension_conflict():
@@ -609,10 +623,10 @@ def test_shacl_retro_worklist_replay():
         attributes=seen_attrs,
     )
     assert "SHACL" not in partial.attribute_index
-    _, report = register_feature(
+    _, pending = register_feature(
         registry_from_contexts([partial]), "SHACL", Dimension.PRAGMATIC_AFFORDANCE, [partial]
     )
-    assert report.pending == (
+    assert pending == (
         "Europeana",
         "Google Data Commons",
         "Bio2RDF",

@@ -1,4 +1,4 @@
-"""Parsers of outside input raise InputError and nothing else, whatever the text; the CLI turns that into exit codes."""
+"""Parsers of outside input and the value constructors raise InputError and nothing else; the CLI turns that into exit codes."""
 
 import dataclasses
 import io
@@ -12,8 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from kgcontinuum import (
     PER_DIMENSION,
+    CostModel,
+    Dimension,
     FormalContext,
     InputError,
+    KgProfile,
+    RequirementSet,
     cost_model_from_json,
     parse_cxt,
     parse_json_context,
@@ -162,6 +166,35 @@ def parsed(parse, text):
 @given(text=cxt_texts())
 def test_parse_cxt_matches_the_character_loop_parser(text):
     assert parsed(parse_cxt, text) == parsed(oracle_parse_cxt, text)
+
+
+# --- the value constructors over fields of any type ------------------------------
+
+# library callers build the value types directly, with no parser in front
+feature_maps = st.dictionaries(st.sampled_from(Dimension), st.lists(names, max_size=3), max_size=3)
+# each constructor with a well-typed strategy per field
+CONSTRUCTORS = [
+    (FormalContext, [
+        st.sampled_from(Dimension),
+        st.lists(names, max_size=3),
+        st.lists(names, max_size=3),
+        st.lists(st.lists(st.booleans(), max_size=3), max_size=3),
+    ]),
+    (KgProfile, [names, feature_maps]),
+    (RequirementSet, [names, names, feature_maps]),
+    (CostModel, [numbers, numbers, st.dictionaries(names, numbers, max_size=3)]),
+]
+
+
+@pytest.mark.parametrize("build,typed", CONSTRUCTORS, ids=[build.__name__ for build, _ in CONSTRUCTORS])
+@fuzz_settings(150)
+@given(data=st.data())
+def test_value_constructors_raise_only_input_errors(build, typed, data):
+    fields = [data.draw(field | json_values) for field in typed]
+    try:
+        build(*fields)
+    except InputError:
+        pass
 
 
 # --- the CLI over generated files ------------------------------------------------

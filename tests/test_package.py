@@ -19,7 +19,6 @@ EXPORTS = {
         "Finding",
         "FormalContext",
         "RegistryEntry",
-        "RetroCheckReport",
         "ValidationReport",
         "attribute_frequency",
         "merge_contexts",
@@ -71,7 +70,7 @@ EXPORTS = {
         "requirement_from_json",
         "transformation_delta",
     ],
-    "render": ["EMPTY_MARK", "Legend", "LegendRow", "LayerAssignment", "assign_layers", "legend", "to_dot"],
+    "render": ["EMPTY_MARK", "Legend", "assign_layers", "legend", "to_dot"],
 }
 SRC = str(Path(kgcontinuum.__file__).resolve().parents[1])
 

@@ -486,6 +486,12 @@ def test_cost_model_rejects_overrides_that_normalize_to_one_name(build):
     pytest.param(lambda: RequirementSet(1, "t", {}), id="requirement-int-community"),
     pytest.param(lambda: RequirementSet("c", None, {}), id="requirement-null-task"),
     pytest.param(lambda: CostModel(overrides={1: 2.0}), id="cost-model-int-override-name"),
+    pytest.param(lambda: KgProfile(1, {}), id="profile-int-kg"),
+    pytest.param(lambda: KgProfile("kg", [1]), id="profile-list-features"),
+    pytest.param(lambda: RequirementSet("c", "t", [(SP, ["x"])]), id="requirement-list-required"),
+    pytest.param(lambda: KgProfile("kg", STRAY), id="profile-tag-key"),
+    pytest.param(lambda: RequirementSet("c", "t", STRAY), id="requirement-tag-key"),
+    pytest.param(lambda: CostModel(overrides=[("a", 1)]), id="cost-model-list-overrides"),
 ])
 def test_value_types_reject_fields_of_the_wrong_type(build):
     with pytest.raises(InputError) as err:
@@ -567,18 +573,18 @@ def stray_profile():
     return profile
 
 
+# the constructors reject such a key (test_value_types_reject_fields_of_the_wrong_type);
+# the functions over values that skipped them raise KeyError
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: KgProfile("kg", STRAY),
-        lambda: RequirementSet("c", "t", STRAY),
         lambda: evaluate_fitness(stray_profile(), RequirementSet("c", "t", {})),
         lambda: transformation_delta(stray_profile(), RequirementSet("c", "t", {})),
         lambda: transformation_delta(KgProfile("kg", {}), stray_profile()),
         lambda: fitness_json(FitnessReport(STRAY, {}, {}, True), kg="kg", requirement=RequirementSet("c", "t", {})),
         lambda: delta_json({d: FeatureDelta(fs, frozenset()) for d, fs in STRAY.items()}, source="s", target="t"),
     ],
-    ids=["KgProfile", "RequirementSet", "evaluate_fitness", "delta-to-requirement", "delta-to-profile", "fitness_json", "delta_json"],
+    ids=["evaluate_fitness", "delta-to-requirement", "delta-to-profile", "fitness_json", "delta_json"],
 )
 def test_non_dimension_key_raises(call):
     with pytest.raises(KeyError):
