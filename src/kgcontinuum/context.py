@@ -40,8 +40,10 @@ def normalize_name(name: str) -> str:
     """Trim and collapse internal whitespace runs to a single space.
 
     Whitespace is every character for which ``str.isspace()`` holds.
-    Comparison of names stays case-sensitive.
+    Comparison of names stays case-sensitive. A non-string raises InputError("schema-violation").
     """
+    if not isinstance(name, str):
+        raise InputError("schema-violation", f"a name must be a string, not {type(name).__name__}")
     return " ".join(name.split())
 
 
@@ -94,8 +96,6 @@ def _unique_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
     out: list[str] = []
     seen: set[str] = set()
     for raw in _collection(names, f"{kind} names"):
-        if not isinstance(raw, str):
-            raise InputError("schema-violation", f"{kind} names must be strings")
         name = normalize_name(raw)
         if not name:
             raise InputError("empty-name", f"{kind} name is empty after normalization")
@@ -193,10 +193,13 @@ class FormalContext:
         while reading objects in the given order.
         """
         objs = _unique_names(objects, "object")
-        feats = {normalize_name(o): frozenset(normalize_name(f) for f in fs) for o, fs in features.items()}
-        unknown = set(feats) - set(objs)
+        if not isinstance(features, Mapping):
+            raise InputError("schema-violation", f"features must be a mapping, not {type(features).__name__}")
+        keys = _unique_names(features.keys(), "object")
+        unknown = set(keys) - set(objs)
         if unknown:
             raise InputError("unknown-object", f"feature sets for undeclared objects: {sorted(unknown)}")
+        feats = {o: frozenset(map(normalize_name, _collection(fs, f"features of {o!r}"))) for o, fs in zip(keys, features.values())}
         # dicts as ordered sets: the first insertion fixes a name's column
         if attributes is None:
             cols = dict.fromkeys(f for o in objs for f in sorted(feats.get(o, frozenset())))

@@ -14,7 +14,7 @@ from itertools import accumulate, compress
 from operator import and_, or_
 from typing import ClassVar
 
-from .context import FormalContext, _bits
+from .context import FormalContext, _bits, _collection
 from .errors import InputError
 
 
@@ -44,10 +44,11 @@ class Implication:
 
 def _names_mask(index: Mapping[str, int], names: Iterable[str], kind: str) -> int:
     mask = 0
-    for name in names:
-        if name not in index:
-            raise InputError(f"unknown-{kind}", f"unknown {kind} {name!r}")
-        mask |= 1 << index[name]
+    for name in _collection(names, f"{kind} names"):
+        try:
+            mask |= 1 << index[name]
+        except (KeyError, TypeError):  # a name outside the context, or an unhashable one
+            raise InputError(f"unknown-{kind}", f"unknown {kind} {name!r}") from None
     return mask
 
 
@@ -214,14 +215,15 @@ class ConceptLattice:
         return {extent: i for i, (extent, _) in enumerate(self.masks)}
 
     def index_of_extent(self, extent: frozenset[str]) -> int:
+        names = _collection(extent, "an extent")
         try:
-            return self._index_by_extent[_obj_mask(self.context, extent)]
-        except (InputError, KeyError):  # a name outside the context, or no such concept
-            raise InputError("unknown-extent", f"no concept has extent {sorted(extent)}") from None
+            return self._index_by_extent[_obj_mask(self.context, names)]
+        except (InputError, KeyError):  # a name outside the context, or no such concept; key=str sorts any names
+            raise InputError("unknown-extent", f"no concept has extent {sorted(names, key=str)}") from None
 
     def _concept_at(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < len(self.masks):
-            raise InputError("index-out-of-range", f"concept index {index} out of range 0..{len(self.masks) - 1}")
+        if not (isinstance(index, int) and 0 <= index < len(self.masks)):
+            raise InputError("index-out-of-range", f"concept index {index!r} out of range 0..{len(self.masks) - 1}")
         return self.masks[index]
 
 
@@ -298,7 +300,10 @@ def close_under_implications(implications: Iterable[Implication], attributes: It
     def mask(names: Iterable[str]) -> int:
         return sum({1 << number.setdefault(name, len(number)) for name in names})  # distinct bits: sum is OR
 
-    start = mask(attributes)
+    try:
+        start = mask(_collection(attributes, "attributes"))
+    except TypeError:  # an unhashable name
+        raise InputError("schema-violation", "attribute names must be hashable") from None
     pairs = [(mask(imp.premise), mask(imp.conclusion)) for imp in implications]
     index = _ImplicationIndex(len(number))
     for premise, conclusion in pairs:

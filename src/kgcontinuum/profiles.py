@@ -32,13 +32,9 @@ def _sides(
 def _freeze(features: Mapping[Dimension, Iterable[str]]) -> Mapping[Dimension, frozenset[str]]:
     if not isinstance(features, Mapping) or not all(isinstance(d, Dimension) for d in features):
         raise InputError("schema-violation", "feature sets must be a mapping keyed by Dimension members")
-    frozen: dict[Dimension, frozenset[str]] = {}
-    for d in _dimensions(features):
-        names = _collection(features[d], f"{d.value} features")
-        if not all(isinstance(f, str) for f in names):
-            raise InputError("schema-violation", f"{d.value} features must be strings")
-        frozen[d] = frozenset(map(normalize_name, names))
-    return MappingProxyType(frozen)
+    return MappingProxyType({
+        d: frozenset(map(normalize_name, _collection(features[d], f"{d.value} features"))) for d in _dimensions(features)
+    })
 
 
 @dataclass(frozen=True)
@@ -54,8 +50,6 @@ class KgProfile:
     features: Mapping[Dimension, frozenset[str]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kg, str):
-            raise InputError("schema-violation", "the KG name must be a string")
         object.__setattr__(self, "kg", normalize_name(self.kg))
         object.__setattr__(self, "features", _freeze(self.features))
 
@@ -119,8 +113,6 @@ class CostModel:
             raise InputError("schema-violation", "overrides must map feature names to numbers")
         weights: dict[str, float] = {}
         for key, value in self.overrides.items():
-            if not isinstance(key, str):
-                raise InputError("schema-violation", "override names must be strings")
             name = normalize_name(key)
             if name in weights:
                 raise InputError("duplicate-feature", f"feature {name!r} has two overrides", location=name)
@@ -227,7 +219,7 @@ def common_position(lattice: ConceptLattice, kgs: Iterable[str]) -> int:
     Its intent is exactly the feature set the KGs share.
     """
     ctx = lattice.context
-    intent = _intent_mask(ctx, _obj_mask(ctx, map(normalize_name, kgs)))
+    intent = _intent_mask(ctx, _obj_mask(ctx, map(normalize_name, _collection(kgs, "KG names"))))
     return lattice._index_by_extent[_extent_mask(ctx, intent)]
 
 

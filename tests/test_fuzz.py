@@ -1,10 +1,11 @@
-"""Parsers of outside input and the value constructors raise InputError and nothing else; the CLI turns that into exit codes."""
+"""Parsers of outside input, the value constructors and the queries raise InputError and nothing else; the CLI maps it to exit codes."""
 
 import dataclasses
 import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -18,16 +19,30 @@ from kgcontinuum import (
     InputError,
     KgProfile,
     RequirementSet,
+    build_lattice,
+    close_attributes,
+    close_under_implications,
+    common_position,
     cost_model_from_json,
+    derive_attributes,
+    derive_objects,
+    implication_basis,
+    join,
+    meet,
+    next_closure,
+    object_concept,
     parse_cxt,
     parse_json_context,
+    profile_of,
+    register_feature,
+    registry_from_contexts,
     requirement_from_json,
     serialize_cxt,
     serialize_json_context,
 )
 from kgcontinuum.cli import main
 
-from helpers import contexts_strategy, oracle_parse_cxt
+from helpers import contexts_strategy, corpus, oracle_parse_cxt
 
 TAGS = ["combined", "semantic-property", "pragmatic-affordance", "no-such-dimension"]
 
@@ -183,6 +198,12 @@ CONSTRUCTORS = [
     (KgProfile, [names, feature_maps]),
     (RequirementSet, [names, names, feature_maps]),
     (CostModel, [numbers, numbers, st.dictionaries(names, numbers, max_size=3)]),
+    (FormalContext.from_feature_sets, [
+        st.sampled_from(Dimension),
+        st.lists(names, max_size=3),
+        st.dictionaries(names, st.lists(names, max_size=3), max_size=3),
+        st.none() | st.lists(names, max_size=3),
+    ]),
 ]
 
 
@@ -195,6 +216,72 @@ def test_value_constructors_raise_only_input_errors(build, typed, data):
         build(*fields)
     except InputError:
         pass
+
+
+# --- the queries over fields of any type ------------------------------------------
+
+CONTEXTS = corpus().contexts
+CTX = CONTEXTS[Dimension.SEMANTIC_AFFORDANCE]
+LATTICE = build_lattice(CTX)
+BASIS = implication_basis(CTX)
+REGISTRY = registry_from_contexts(CONTEXTS[d] for d in PER_DIMENSION)
+# the corpus names, more often than not, or any name
+kg_or_any = st.sampled_from(CTX.objects) | names
+attribute_or_any = st.sampled_from(CTX.attributes) | names
+indices = st.integers(-1, len(LATTICE.masks))
+# each query against the corpus context, its lattice, basis or registry, with a well-typed strategy per remaining field
+QUERIES = [
+    ("features_of", CTX.features_of, [kg_or_any]),
+    ("holders_of", CTX.holders_of, [attribute_or_any]),
+    ("derive_attributes", partial(derive_attributes, CTX), [st.lists(kg_or_any, max_size=3)]),
+    ("derive_objects", partial(derive_objects, CTX), [st.lists(attribute_or_any, max_size=3)]),
+    ("close_attributes", partial(close_attributes, CTX), [st.lists(attribute_or_any, max_size=3)]),
+    ("next_closure", partial(next_closure, CTX), [st.none() | st.sampled_from([intent for _, intent in LATTICE.names])]),
+    ("index_of_extent", LATTICE.index_of_extent, [st.frozensets(kg_or_any, max_size=3)]),
+    ("meet", partial(meet, LATTICE), [indices, indices]),
+    ("join", partial(join, LATTICE), [indices, indices]),
+    ("close_under_implications", partial(close_under_implications, BASIS), [st.lists(attribute_or_any, max_size=3)]),
+    ("profile_of", partial(profile_of, CONTEXTS.values()), [kg_or_any]),
+    ("object_concept", partial(object_concept, LATTICE), [kg_or_any]),
+    ("common_position", partial(common_position, LATTICE), [st.lists(kg_or_any, max_size=3)]),
+    ("register_feature", partial(register_feature, REGISTRY, contexts=CONTEXTS.values()), [attribute_or_any, st.sampled_from(Dimension)]),
+    ("FeatureRegistry.get", REGISTRY.get, [attribute_or_any]),
+    ("FeatureRegistry.__contains__", REGISTRY.__contains__, [attribute_or_any]),
+]
+
+
+@pytest.mark.parametrize("query,typed", [row[1:] for row in QUERIES], ids=[row[0] for row in QUERIES])
+@fuzz_settings(150)
+@given(data=st.data())
+def test_queries_raise_only_input_errors(query, typed, data):
+    fields = [data.draw(field | json_values) for field in typed]
+    try:
+        query(*fields)
+    except InputError:
+        pass
+
+
+# each query that takes a collection of names, given a bare string, which would read as its characters;
+# and from_feature_sets given two keys that normalize to one object
+REJECTED = [
+    ("derive_attributes", lambda: derive_attributes(CTX, "LOV"), "schema-violation"),
+    ("derive_objects", lambda: derive_objects(CTX, "scholarly citation"), "schema-violation"),
+    ("close_attributes", lambda: close_attributes(CTX, "scholarly citation"), "schema-violation"),
+    ("next_closure", lambda: next_closure(CTX, "scholarly citation"), "schema-violation"),
+    ("index_of_extent", lambda: LATTICE.index_of_extent("LOV"), "schema-violation"),
+    ("common_position", lambda: common_position(LATTICE, "LOV"), "schema-violation"),
+    ("close_under_implications", lambda: close_under_implications(BASIS, "ab"), "schema-violation"),
+    ("from_feature_sets-features", lambda: FormalContext.from_feature_sets(Dimension.COMBINED, ["g"], "g"), "schema-violation"),
+    ("from_feature_sets-feature-set", lambda: FormalContext.from_feature_sets(Dimension.COMBINED, ["g"], {"g": "ab"}), "schema-violation"),
+    ("from_feature_sets-keys", lambda: FormalContext.from_feature_sets(Dimension.COMBINED, ["g"], {"g": ["a"], "g ": ["b"]}), "duplicate-object"),
+]
+
+
+@pytest.mark.parametrize("call,code", [row[1:] for row in REJECTED], ids=[row[0] for row in REJECTED])
+def test_queries_reject_bare_strings_and_duplicate_keys(call, code):
+    with pytest.raises(InputError) as err:
+        call()
+    assert err.value.code == code
 
 
 # --- the CLI over generated files ------------------------------------------------
