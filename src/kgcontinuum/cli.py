@@ -8,7 +8,6 @@ stderr. Setting the CONTINUUM_NO_COLOR environment variable disables stderr styl
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -20,6 +19,7 @@ from .context import (
     Finding,
     FormalContext,
     ValidationReport,
+    _json_text,
     parse_cxt,
     parse_json_context,
     registry_from_contexts,
@@ -55,10 +55,6 @@ def _emit(args, text: str) -> None:
         Path(args.out).write_bytes(text.encode("utf-8"))  # encode before opening: no partial file
     else:
         sys.stdout.write(text)
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def _report_json(report: ValidationReport) -> dict:
@@ -113,6 +109,8 @@ def _profile_contexts(args) -> list[FormalContext]:
     if args.corpus is not None and args.context:
         raise InputError("conflicting-input", "use either --corpus or --context, not both")
     if args.corpus is not None:
+        if args.dimension is not None:
+            raise InputError("dimension-flag-forbidden", "--corpus builtin loads all four dimensions; drop --dimension")
         from .corpus import load_corpus
 
         corpus = load_corpus()
@@ -319,15 +317,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         _fail(str(exc))
         return 1
     except IntegrityError as exc:
         _fail(str(exc))
         return 2
-    except OSError as exc:
-        _fail(str(exc))
-        return 1
     except MemoryError:  # reported below, once the frames its traceback holds are freed
         pass
     _fail("resource-exhausted: out of memory; try a smaller context")

@@ -346,15 +346,18 @@ def parse_json_context(text: str) -> FormalContext:
     if not isinstance(doc["dimension"], str):
         raise InputError("schema-violation", "dimension must be a string")
     dimension = Dimension.from_tag(doc["dimension"])
-    inc = doc["incidence"]
-    if not isinstance(inc, list):
-        raise InputError("schema-violation", "incidence must be a list of rows")
+    inc = _collection(doc["incidence"], "incidence")
     for i, row in enumerate(inc):
         # json.loads yields exact types, so the type check rejects every float, string,
         # null and container, the last unhashable, before the value check hashes the cells
         if not (isinstance(row, list) and _CELL_TYPES.issuperset(map(type, row)) and _CELL_VALUES.issuperset(row)):
             raise InputError("schema-violation", "incidence rows must contain only 0 and 1", location=f"row {i}")
     return FormalContext(dimension, doc["objects"], doc["attributes"], inc)
+
+
+def _json_text(doc) -> str:
+    """The one JSON text format every writer uses: two-space indent, raw UTF-8, a final newline."""
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def serialize_json_context(ctx: FormalContext) -> str:
@@ -365,7 +368,7 @@ def serialize_json_context(ctx: FormalContext) -> str:
         "attributes": list(ctx.attributes),
         "incidence": [[1 if v else 0 for v in row] for row in ctx.incidence],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return _json_text(doc)
 
 
 # --- Validation -------------------------------------------------------------
@@ -438,7 +441,6 @@ class RegistryEntry:
     name: str
     dimension: Dimension
     introduced_by: str | None = None
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -474,6 +476,8 @@ def _registered_entry(
     """The entry already holding a normalized name, once the name is known to fit under dimension."""
     if not name:
         raise InputError("empty-name", "feature name is empty after normalization")
+    if not isinstance(dimension, Dimension):
+        raise InputError("schema-violation", f"dimension must be a Dimension, not {type(dimension).__name__}")
     if dimension is Dimension.COMBINED:
         raise InputError("combined-dimension", "features register under a per-dimension axis, not combined")
     existing = by_name.get(name)
@@ -493,7 +497,6 @@ def register_feature(
     contexts: Iterable[FormalContext] = (),
     *,
     introduced_by: str | None = None,
-    description: str = "",
 ) -> tuple[FeatureRegistry, tuple[str, ...]]:
     """Add a feature to the registry; return the new registry and the objects pending a re-check.
 
@@ -514,7 +517,7 @@ def register_feature(
         if ctx.dimension is dimension and name not in ctx.attribute_index
         for obj in ctx.objects
     )
-    entry = RegistryEntry(name, dimension, introduced_by, description)
+    entry = RegistryEntry(name, dimension, introduced_by)
     return FeatureRegistry(registry.entries + (entry,)), tuple(pending)
 
 

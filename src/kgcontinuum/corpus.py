@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
 
-from .context import PER_DIMENSION, Dimension, Finding, FormalContext, ValidationReport, merge_contexts
-from .errors import IntegrityError
+from .context import PER_DIMENSION, Dimension, Finding, FormalContext, ValidationReport, json_object, merge_contexts
+from .errors import InputError, IntegrityError
 from .fca import FormalConcept, enumerate_concepts
 
 #: The ten case-study knowledge graphs, in declaration order.
@@ -63,29 +63,24 @@ def _corrupt(detail: str) -> IntegrityError:
 
 
 def load_corpus() -> ProvenanceCorpus:
-    """Load and checksum the embedded corpus."""
+    """Load and checksum the embedded corpus; every flaw in it raises IntegrityError("corpus-corrupt")."""
     try:
-        raw = resources.files(__package__).joinpath(_RESOURCE).read_text("utf-8")
-        doc = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
+        text = resources.files(__package__).joinpath(_RESOURCE).read_text("utf-8")
+        doc = json_object(text, ("contexts", "golden", "checksum"))
+        if doc["checksum"] != payload_checksum({"contexts": doc["contexts"], "golden": doc["golden"]}):
+            raise _corrupt("embedded corpus failed its transcription checksum")
+        contexts: dict[Dimension, FormalContext] = {}
+        for raw in doc["contexts"]:
+            ctx = FormalContext(Dimension.from_tag(raw["dimension"]), raw["objects"], raw["attributes"], raw["incidence"])
+            contexts[ctx.dimension] = ctx
+        golden = {
+            Dimension.from_tag(tag): tuple(
+                FormalConcept(frozenset(pair["extent"]), frozenset(pair["intent"])) for pair in pairs
+            )
+            for tag, pairs in doc["golden"].items()
+        }
+    except (OSError, UnicodeDecodeError, InputError) as exc:
         raise _corrupt(f"embedded corpus unreadable: {exc}") from None
-    if not isinstance(doc, dict) or {"contexts", "golden", "checksum"} - doc.keys():
-        raise _corrupt("embedded corpus is missing sections")
-    if doc["checksum"] != payload_checksum({"contexts": doc["contexts"], "golden": doc["golden"]}):
-        raise _corrupt("embedded corpus failed its transcription checksum")
-
-    contexts: dict[Dimension, FormalContext] = {}
-    for raw_ctx in doc["contexts"]:
-        ctx = FormalContext(
-            Dimension.from_tag(raw_ctx["dimension"]), raw_ctx["objects"], raw_ctx["attributes"], raw_ctx["incidence"]
-        )
-        contexts[ctx.dimension] = ctx
-    golden = {
-        Dimension.from_tag(tag): tuple(
-            FormalConcept(frozenset(pair["extent"]), frozenset(pair["intent"])) for pair in pairs
-        )
-        for tag, pairs in doc["golden"].items()
-    }
 
     for dim, expected in _ATTRIBUTE_COUNTS.items():
         ctx = contexts.get(dim)

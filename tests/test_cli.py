@@ -375,6 +375,21 @@ def test_context_and_corpus_conflict(capsys, cxt_file):
     assert "conflicting-input" in err
 
 
+@pytest.mark.parametrize("argv", [["lattice"], ["fit", "--kg", "LOV", "--require", "req.json"]], ids=["single", "fit"])
+def test_no_context_source_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: missing-input: provide --context PATH")
+
+
+@pytest.mark.parametrize("command", ["fit", "delta"])
+def test_corpus_with_dimension_flag_rejected_for_profiles(capsys, req_file, command):
+    # --corpus builtin loads all four dimensions for fit and delta, so a --dimension would be ignored
+    code, out, err = run(capsys, command, "--corpus", "builtin", "--dimension", "combined", "--kg", "LOV", "--require", req_file)
+    assert (code, out) == (1, "")
+    assert "dimension-flag-forbidden" in err
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run(capsys, "lattice", "--context", "/no/such/file.cxt", "--dimension", "combined")
     assert code == 1

@@ -358,6 +358,22 @@ def test_parse_json_rejects_unknown_dimension():
     assert err.value.code == "unknown-dimension"
 
 
+def test_parse_json_rejects_non_string_dimension():
+    doc = {"dimension": 1, "objects": [], "attributes": [], "incidence": []}
+    with pytest.raises(InputError) as err:
+        parse_json_context(json.dumps(doc))
+    assert (err.value.code, err.value.message) == ("schema-violation", "dimension must be a string")
+
+
+@pytest.mark.parametrize("incidence,kind", [({}, "dict"), ("", "str"), (5, "int"), (None, "NoneType")])
+def test_parse_json_rejects_non_collection_incidence(incidence, kind):
+    # FormalContext's collection check owns the message, as for objects and attributes
+    doc = {"dimension": "combined", "objects": [], "attributes": [], "incidence": incidence}
+    with pytest.raises(InputError) as err:
+        parse_json_context(json.dumps(doc))
+    assert (err.value.code, err.value.message) == ("schema-violation", f"incidence must be a collection, not {kind}")
+
+
 def test_parse_json_rejects_duplicate_object():
     doc = {"dimension": "combined", "objects": ["g", "g"], "attributes": [], "incidence": [[], []]}
     with pytest.raises(InputError) as err:

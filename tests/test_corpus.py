@@ -15,6 +15,7 @@ from kgcontinuum import (
     load_corpus,
     verify_corpus,
 )
+from kgcontinuum.cli import main
 
 from helpers import corpus
 
@@ -101,8 +102,8 @@ class _FakeResource:
     def joinpath(self, *_):
         return self
 
-    def read_text(self, *_args, **_kwargs):
-        return self.text
+    def read_text(self, encoding="utf-8", *_args, **_kwargs):
+        return self.text.decode(encoding) if isinstance(self.text, bytes) else self.text
 
 
 def test_load_corpus_detects_tampered_payload(monkeypatch):
@@ -134,3 +135,69 @@ def test_golden_concepts_are_actual_concepts():
             assert concept.extent == frozenset(
                 o for o in ctx.objects if concept.intent <= ctx.features_of(o)
             )
+
+
+def _shipped_doc():
+    return json.loads(corpus_module.resources.files("kgcontinuum").joinpath(corpus_module._RESOURCE).read_text("utf-8"))
+
+
+def _resealed(edit):
+    """The shipped payload after edit, with its checksum regenerated so that only the edit is wrong."""
+    doc = _shipped_doc()
+    edit(doc)
+    doc["checksum"] = corpus_module.payload_checksum({"contexts": doc["contexts"], "golden": doc["golden"]})
+    return json.dumps(doc)
+
+
+def _duplicate_object(doc):
+    doc["contexts"][0]["objects"][1] = doc["contexts"][0]["objects"][0]
+
+
+def _unknown_golden_tag(doc):
+    doc["golden"]["no-such-dimension"] = doc["golden"].pop("pragmatic-property")
+
+
+def _reversed_roster(doc):
+    for raw in doc["contexts"]:
+        raw["objects"].reverse()
+        raw["incidence"].reverse()
+
+
+def _dropped_attribute(doc):
+    raw = next(c for c in doc["contexts"] if c["dimension"] == "semantic-affordance")
+    raw["attributes"].pop()
+    for row in raw["incidence"]:
+        row.pop()
+
+
+# every flaw in the embedded payload is corpus-corrupt, never a traceback or an InputError
+CORRUPT_PAYLOADS = [
+    ("non-utf8", lambda: b"\xff" + json.dumps(_shipped_doc()).encode(), "unreadable: 'utf-8' codec can't decode"),
+    ("not-an-object", lambda: "[1]", "unreadable: schema-violation: top level must be an object"),
+    ("missing-section", lambda: json.dumps({"contexts": [], "golden": {}}), "unreadable: schema-violation: missing keys: 'checksum'"),
+    ("duplicate-object", lambda: _resealed(_duplicate_object), "unreadable: duplicate-object:"),
+    ("unknown-golden-tag", lambda: _resealed(_unknown_golden_tag), "unreadable: unknown-dimension:"),
+    ("missing-context", lambda: _resealed(lambda d: d["contexts"].pop()), "missing context for"),
+    ("wrong-roster", lambda: _resealed(_reversed_roster), "object roster of semantic-property does not match"),
+    ("wrong-attribute-count", lambda: _resealed(_dropped_attribute), "semantic-affordance should have 10 attributes, found 9"),
+    ("missing-golden", lambda: _resealed(lambda d: d["golden"].pop("pragmatic-affordance")), "missing golden concepts for pragmatic-affordance"),
+]
+
+
+@pytest.mark.parametrize("payload,message", [row[1:] for row in CORRUPT_PAYLOADS], ids=[row[0] for row in CORRUPT_PAYLOADS])
+def test_load_corpus_reports_every_flaw_as_corpus_corrupt(monkeypatch, payload, message):
+    text = payload()
+    monkeypatch.setattr(corpus_module.resources, "files", lambda _: _FakeResource(text))
+    with pytest.raises(IntegrityError) as err:
+        load_corpus()
+    assert err.value.code == "corpus-corrupt"
+    assert message in err.value.message
+
+
+def test_cli_exits_two_on_a_corrupt_payload(monkeypatch, capsys):
+    text = _resealed(_duplicate_object)
+    monkeypatch.setattr(corpus_module.resources, "files", lambda _: _FakeResource(text))
+    assert main(["lattice", "--corpus", "builtin", "--dimension", "combined"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: corpus-corrupt: embedded corpus unreadable: duplicate-object:")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from kgcontinuum import (
+    ConceptLattice,
     Dimension,
     FormalConcept,
     FormalContext,
@@ -368,6 +369,18 @@ def test_meet_join_identities():
         assert join(lattice, i, i) == i
         assert meet(lattice, i, bottom) == bottom
         assert join(lattice, i, top) == top
+
+
+def test_hand_built_lattice_answers_meet_and_join():
+    # build_lattice pre-fills the extent index; a lattice built from its fields builds it on first use
+    built = build_lattice(corpus().contexts[Dimension.PRAGMATIC_PROPERTY])
+    lattice = ConceptLattice(built.context, built.masks, built.upper_covers)
+    assert "_index_by_extent" not in lattice.__dict__
+    n = len(lattice.masks)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    assert [meet(lattice, i, j) for i, j in pairs] == [meet(built, i, j) for i, j in pairs]
+    assert [join(lattice, i, j) for i, j in pairs] == [join(built, i, j) for i, j in pairs]
+    assert lattice.index_of_extent(built.concepts[3].extent) == 3
 
 
 def test_join_of_wikidata_and_nanopublications_object_concepts():

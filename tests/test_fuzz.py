@@ -262,7 +262,8 @@ def test_queries_raise_only_input_errors(query, typed, data):
 
 
 # each query that takes a collection of names, given a bare string, which would read as its characters;
-# and from_feature_sets given two keys that normalize to one object
+# register_feature given a dimension tag instead of a Dimension; and from_feature_sets given two keys
+# that normalize to one object
 REJECTED = [
     ("derive_attributes", lambda: derive_attributes(CTX, "LOV"), "schema-violation"),
     ("derive_objects", lambda: derive_objects(CTX, "scholarly citation"), "schema-violation"),
@@ -273,6 +274,7 @@ REJECTED = [
     ("close_under_implications", lambda: close_under_implications(BASIS, "ab"), "schema-violation"),
     ("from_feature_sets-features", lambda: FormalContext.from_feature_sets(Dimension.COMBINED, ["g"], "g"), "schema-violation"),
     ("from_feature_sets-feature-set", lambda: FormalContext.from_feature_sets(Dimension.COMBINED, ["g"], {"g": "ab"}), "schema-violation"),
+    ("register_feature-dimension", lambda: register_feature(REGISTRY, "brand new", "semantic-property", CONTEXTS.values()), "schema-violation"),
     ("from_feature_sets-keys", lambda: FormalContext.from_feature_sets(Dimension.COMBINED, ["g"], {"g": ["a"], "g ": ["b"]}), "duplicate-object"),
 ]
 
