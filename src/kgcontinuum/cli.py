@@ -8,6 +8,7 @@ stderr. Setting the CONTINUUM_NO_COLOR environment variable disables stderr styl
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from collections.abc import Sequence
@@ -55,13 +56,6 @@ def _emit(args, text: str) -> None:
         Path(args.out).write_bytes(text.encode("utf-8"))  # encode before opening: no partial file
     else:
         sys.stdout.write(text)
-
-
-def _report_json(report: ValidationReport) -> dict:
-    def rows(findings):
-        return [{"code": f.code, "message": f.message, "location": f.location} for f in findings]
-
-    return {"errors": rows(report.errors), "warnings": rows(report.warnings)}
 
 
 # --- input resolution ---------------------------------------------------------
@@ -227,7 +221,7 @@ def _cmd_validate(args) -> int:
         if args.corpus is not None or args.context is None or exc.code in ("dimension-flag-required", "dimension-flag-forbidden"):
             raise
         report = ValidationReport(errors=(Finding(exc.code, exc.message, exc.location),))
-    _emit(args, _json_text(_report_json(report)))
+    _emit(args, _json_text(dataclasses.asdict(report)))
     return 0 if report.ok else 1
 
 
@@ -241,7 +235,7 @@ def _cmd_corpus_verify(args) -> int:
     from .corpus import load_corpus, verify_corpus
 
     report = verify_corpus(load_corpus())
-    _emit(args, _json_text(_report_json(report)))
+    _emit(args, _json_text(dataclasses.asdict(report)))
     return 0 if report.ok else 2
 
 

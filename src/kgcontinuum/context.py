@@ -438,27 +438,54 @@ def singleton_features(contexts: Iterable[FormalContext]) -> tuple[tuple[Dimensi
 
 @dataclass(frozen=True)
 class RegistryEntry:
+    """One feature: its normalized name, its axis and the first object seen with it, if any."""
+
     name: str
     dimension: Dimension
     introduced_by: str | None = None
 
+    def __post_init__(self) -> None:
+        name = normalize_name(self.name)
+        if not name:
+            raise InputError("empty-name", "feature name is empty after normalization")
+        if not isinstance(self.dimension, Dimension):
+            raise InputError("schema-violation", f"dimension must be a Dimension, not {type(self.dimension).__name__}")
+        object.__setattr__(self, "name", name)
+        if self.introduced_by is not None:
+            object.__setattr__(self, "introduced_by", normalize_name(self.introduced_by))
+
 
 @dataclass(frozen=True)
 class FeatureRegistry:
-    """Append-only catalogue of known features; each belongs to one dimension."""
+    """Append-only catalogue of known features; each belongs to one per-dimension axis.
+
+    Entries are read in order: a name repeated under its own dimension keeps
+    its first entry, so len counts names; a combined entry or a name already
+    held under another dimension raises InputError.
+    """
 
     entries: tuple[RegistryEntry, ...] = ()
 
-    @cached_property
-    def _by_name(self) -> Mapping[str, RegistryEntry]:
-        return MappingProxyType({e.name: e for e in self.entries})
+    def __post_init__(self) -> None:
+        by_name: dict[str, RegistryEntry] = {}
+        for entry in _collection(self.entries, "registry entries"):
+            if not isinstance(entry, RegistryEntry):
+                raise InputError("schema-violation", f"registry entries must be RegistryEntry values, not {type(entry).__name__}")
+            if entry.dimension is Dimension.COMBINED:
+                raise InputError("combined-dimension", "features register under a per-dimension axis, not combined")
+            first = by_name.setdefault(entry.name, entry)
+            if first.dimension is not entry.dimension:
+                raise InputError(
+                    "dimension-conflict",
+                    f"{entry.name!r} is already registered under {first.dimension.value}",
+                    location=entry.name,
+                )
+        object.__setattr__(self, "entries", tuple(by_name.values()))
+        object.__setattr__(self, "_by_name", by_name)
 
     @cached_property
     def _names_by_dimension(self) -> Mapping[Dimension, frozenset[str]]:
-        by_dim: dict[Dimension, set[str]] = {}
-        for e in self._by_name.values():
-            by_dim.setdefault(e.dimension, set()).add(e.name)
-        return MappingProxyType({d: frozenset(names) for d, names in by_dim.items()})
+        return {d: frozenset(e.name for e in self.entries if e.dimension is d) for d in PER_DIMENSION}
 
     def get(self, name: str) -> RegistryEntry | None:
         return self._by_name.get(normalize_name(name))
@@ -468,26 +495,6 @@ class FeatureRegistry:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def _registered_entry(
-    by_name: Mapping[str, RegistryEntry], name: str, dimension: Dimension
-) -> RegistryEntry | None:
-    """The entry already holding a normalized name, once the name is known to fit under dimension."""
-    if not name:
-        raise InputError("empty-name", "feature name is empty after normalization")
-    if not isinstance(dimension, Dimension):
-        raise InputError("schema-violation", f"dimension must be a Dimension, not {type(dimension).__name__}")
-    if dimension is Dimension.COMBINED:
-        raise InputError("combined-dimension", "features register under a per-dimension axis, not combined")
-    existing = by_name.get(name)
-    if existing is not None and existing.dimension is not dimension:
-        raise InputError(
-            "dimension-conflict",
-            f"{name!r} is already registered under {existing.dimension.value}",
-            location=name,
-        )
-    return existing
 
 
 def register_feature(
@@ -507,18 +514,18 @@ def register_feature(
     Registering a name that already exists under the same dimension is a
     no-op with nothing pending; under a different dimension it is an error.
     """
-    name = normalize_name(name)
-    if _registered_entry(registry._by_name, name, dimension) is not None:
+    entry = RegistryEntry(name, dimension, introduced_by)
+    grown = FeatureRegistry(registry.entries + (entry,))
+    if len(grown) == len(registry):
         return registry, ()
     # a dict as an ordered set keeps each object once, where it was first seen
     pending = dict.fromkeys(
         obj
         for ctx in contexts
-        if ctx.dimension is dimension and name not in ctx.attribute_index
+        if ctx.dimension is dimension and entry.name not in ctx.attribute_index
         for obj in ctx.objects
     )
-    entry = RegistryEntry(name, dimension, introduced_by)
-    return FeatureRegistry(registry.entries + (entry,)), tuple(pending)
+    return grown, tuple(pending)
 
 
 def registry_from_contexts(contexts: Iterable[FormalContext]) -> FeatureRegistry:
@@ -526,13 +533,11 @@ def registry_from_contexts(contexts: Iterable[FormalContext]) -> FeatureRegistry
 
     introduced_by is the first object exhibiting the attribute, if any.
     """
-    by_name: dict[str, RegistryEntry] = {}
-    for ctx in contexts:
-        for attr, column in zip(ctx.attributes, ctx.column_masks):
-            if _registered_entry(by_name, attr, ctx.dimension) is None:
-                first = next(compress(ctx.objects, _bits(column)), None)
-                by_name[attr] = RegistryEntry(attr, ctx.dimension, first)
-    return FeatureRegistry(tuple(by_name.values()))
+    return FeatureRegistry(
+        RegistryEntry(attr, ctx.dimension, next(compress(ctx.objects, _bits(column)), None))
+        for ctx in contexts
+        for attr, column in zip(ctx.attributes, ctx.column_masks)
+    )
 
 
 # --- Merging ----------------------------------------------------------------
@@ -544,6 +549,10 @@ def merge_contexts(contexts: Sequence[FormalContext]) -> FormalContext:
     Attributes are qualified as ``<dimension>:<name>`` so the merged columns
     stay pairwise distinct; incidence is concatenated horizontally.
     """
+    contexts = _collection(contexts, "contexts")
+    for ctx in contexts:
+        if not isinstance(ctx, FormalContext):
+            raise InputError("schema-violation", f"contexts must be FormalContext values, not {type(ctx).__name__}")
     if not contexts:
         raise InputError("empty-merge", "nothing to merge")
     base = contexts[0].objects

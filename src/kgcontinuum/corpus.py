@@ -81,6 +81,10 @@ def load_corpus() -> ProvenanceCorpus:
         }
     except (OSError, UnicodeDecodeError, InputError) as exc:
         raise _corrupt(f"embedded corpus unreadable: {exc}") from None
+    # the block reads sealed package data only, so a lookup or a conversion that fails on
+    # a wrong shape under a regenerated checksum marks the payload corrupt, not a caller's error
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise _corrupt(f"embedded corpus has the wrong shape: {type(exc).__name__}: {exc}") from None
 
     for dim, expected in _ATTRIBUTE_COUNTS.items():
         ctx = contexts.get(dim)

@@ -286,8 +286,15 @@ def lattice_json(lattice: ConceptLattice) -> dict:
 # --- implications -----------------------------------------------------------
 
 
+def _implication(implication: Implication) -> Implication:
+    if not isinstance(implication, Implication):
+        raise InputError("schema-violation", f"an implication must be an Implication, not {type(implication).__name__}")
+    return implication
+
+
 def implication_holds(ctx: FormalContext, implication: Implication) -> bool:
     """True iff every object carrying the premise also carries the conclusion."""
+    implication = _implication(implication)
     pmask = _attr_mask(ctx, implication.premise)
     cmask = _attr_mask(ctx, implication.conclusion)
     return cmask & _close_attr_mask(ctx, pmask) == cmask
@@ -304,7 +311,7 @@ def close_under_implications(implications: Iterable[Implication], attributes: It
         start = mask(_collection(attributes, "attributes"))
     except TypeError:  # an unhashable name
         raise InputError("schema-violation", "attribute names must be hashable") from None
-    pairs = [(mask(imp.premise), mask(imp.conclusion)) for imp in implications]
+    pairs = [(mask(imp.premise), mask(imp.conclusion)) for imp in map(_implication, _collection(implications, "implications"))]
     index = _ImplicationIndex(len(number))
     for premise, conclusion in pairs:
         index.add(premise, premise | conclusion)
@@ -313,7 +320,7 @@ def close_under_implications(implications: Iterable[Implication], attributes: It
 
 def follows_from(implication: Implication, basis: Iterable[Implication]) -> bool:
     """Whether an implication is entailed by a set of implications."""
-    return implication.conclusion <= close_under_implications(basis, implication.premise)
+    return _implication(implication).conclusion <= close_under_implications(basis, implication.premise)
 
 
 class _ImplicationIndex:

@@ -14,6 +14,7 @@ from kgcontinuum import (
     FeatureRegistry,
     FormalContext,
     InputError,
+    RegistryEntry,
     attribute_frequency,
     merge_contexts,
     normalize_name,
@@ -625,6 +626,19 @@ def test_registry_from_contexts_matches_one_registration_at_a_time(drawn):
 def test_registry_lookup_normalizes():
     registry, _ = register_feature(FeatureRegistry(), "a b", Dimension.SEMANTIC_PROPERTY)
     assert registry.get("  a   b ") is not None
+
+
+def test_hand_built_registry_normalizes_and_keeps_each_name_once():
+    sp = Dimension.SEMANTIC_PROPERTY
+    registry = FeatureRegistry((
+        RegistryEntry(" b ", sp, " g1 "),
+        RegistryEntry("a", sp, "g2"),
+        RegistryEntry("b", sp, "g3"),
+    ))
+    assert registry.get("b") == RegistryEntry("b", sp, "g1")
+    assert " b " in registry
+    assert len(registry) == 2
+    assert [e.name for e in registry.entries] == ["b", "a"]
 
 
 def test_shacl_retro_worklist_replay():

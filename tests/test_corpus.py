@@ -170,6 +170,15 @@ def _dropped_attribute(doc):
         row.pop()
 
 
+def _context_as_list(doc):
+    doc["contexts"][0] = list(doc["contexts"][0].values())
+
+
+def _golden_pair_as_list(doc):
+    pairs = doc["golden"]["semantic-property"]
+    pairs[0] = [pairs[0]["extent"], pairs[0]["intent"]]
+
+
 # every flaw in the embedded payload is corpus-corrupt, never a traceback or an InputError
 CORRUPT_PAYLOADS = [
     ("non-utf8", lambda: b"\xff" + json.dumps(_shipped_doc()).encode(), "unreadable: 'utf-8' codec can't decode"),
@@ -181,6 +190,13 @@ CORRUPT_PAYLOADS = [
     ("wrong-roster", lambda: _resealed(_reversed_roster), "object roster of semantic-property does not match"),
     ("wrong-attribute-count", lambda: _resealed(_dropped_attribute), "semantic-affordance should have 10 attributes, found 9"),
     ("missing-golden", lambda: _resealed(lambda d: d["golden"].pop("pragmatic-affordance")), "missing golden concepts for pragmatic-affordance"),
+    ("context-without-objects", lambda: _resealed(lambda d: d["contexts"][0].pop("objects")), "wrong shape: KeyError: 'objects'"),
+    ("context-as-list", lambda: _resealed(_context_as_list), "wrong shape: TypeError:"),
+    ("contexts-as-object", lambda: _resealed(lambda d: d.update(contexts={c["dimension"]: c for c in d["contexts"]})), "wrong shape: TypeError:"),
+    ("golden-as-list", lambda: _resealed(lambda d: d.update(golden=list(d["golden"].values()))), "wrong shape: AttributeError:"),
+    ("golden-pair-as-list", lambda: _resealed(_golden_pair_as_list), "wrong shape: TypeError:"),
+    ("golden-pair-without-intent", lambda: _resealed(lambda d: d["golden"]["semantic-property"][0].pop("intent")), "wrong shape: KeyError: 'intent'"),
+    ("extent-holding-a-list", lambda: _resealed(lambda d: d["golden"]["semantic-property"][0]["extent"].append(["Europeana"])), "wrong shape: TypeError:"),
 ]
 
 
@@ -201,3 +217,12 @@ def test_cli_exits_two_on_a_corrupt_payload(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: corpus-corrupt: embedded corpus unreadable: duplicate-object:")
+
+
+def test_cli_exits_two_on_a_payload_of_the_wrong_shape(monkeypatch, capsys):
+    text = _resealed(lambda d: d["contexts"][0].pop("objects"))
+    monkeypatch.setattr(corpus_module.resources, "files", lambda _: _FakeResource(text))
+    assert main(["corpus", "verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: corpus-corrupt: embedded corpus has the wrong shape: KeyError: 'objects'\n"

@@ -15,6 +15,7 @@ from kgcontinuum import (
     PER_DIMENSION,
     CostModel,
     Dimension,
+    FeatureRegistry,
     FormalContext,
     InputError,
     KgProfile,
@@ -26,14 +27,18 @@ from kgcontinuum import (
     cost_model_from_json,
     derive_attributes,
     derive_objects,
+    follows_from,
     implication_basis,
+    implication_holds,
     join,
     meet,
+    merge_contexts,
     next_closure,
     object_concept,
     parse_cxt,
     parse_json_context,
     profile_of,
+    RegistryEntry,
     register_feature,
     registry_from_contexts,
     requirement_from_json,
@@ -187,6 +192,7 @@ def test_parse_cxt_matches_the_character_loop_parser(text):
 
 # library callers build the value types directly, with no parser in front
 feature_maps = st.dictionaries(st.sampled_from(Dimension), st.lists(names, max_size=3), max_size=3)
+registry_entries = st.builds(RegistryEntry, st.sampled_from(["a", "b", " a "]), st.sampled_from(Dimension), st.none() | st.just("g"))
 # each constructor with a well-typed strategy per field
 CONSTRUCTORS = [
     (FormalContext, [
@@ -198,6 +204,8 @@ CONSTRUCTORS = [
     (KgProfile, [names, feature_maps]),
     (RequirementSet, [names, names, feature_maps]),
     (CostModel, [numbers, numbers, st.dictionaries(names, numbers, max_size=3)]),
+    (RegistryEntry, [names, st.sampled_from(Dimension), st.none() | names]),
+    (FeatureRegistry, [st.lists(registry_entries, max_size=4)]),
     (FormalContext.from_feature_sets, [
         st.sampled_from(Dimension),
         st.lists(names, max_size=3),
@@ -241,6 +249,9 @@ QUERIES = [
     ("meet", partial(meet, LATTICE), [indices, indices]),
     ("join", partial(join, LATTICE), [indices, indices]),
     ("close_under_implications", partial(close_under_implications, BASIS), [st.lists(attribute_or_any, max_size=3)]),
+    ("implication_holds", partial(implication_holds, CTX), [st.sampled_from(BASIS)]),
+    ("follows_from", partial(follows_from, basis=BASIS), [st.sampled_from(BASIS)]),
+    ("merge_contexts", merge_contexts, [st.lists(st.sampled_from(list(CONTEXTS.values())), max_size=3)]),
     ("profile_of", partial(profile_of, CONTEXTS.values()), [kg_or_any]),
     ("object_concept", partial(object_concept, LATTICE), [kg_or_any]),
     ("common_position", partial(common_position, LATTICE), [st.lists(kg_or_any, max_size=3)]),
@@ -262,8 +273,9 @@ def test_queries_raise_only_input_errors(query, typed, data):
 
 
 # each query that takes a collection of names, given a bare string, which would read as its characters;
-# register_feature given a dimension tag instead of a Dimension; and from_feature_sets given two keys
-# that normalize to one object
+# register_feature given a dimension tag instead of a Dimension; from_feature_sets given two keys
+# that normalize to one object; the registry types given what the registry rules forbid; and the
+# queries over contexts and implications given something else
 REJECTED = [
     ("derive_attributes", lambda: derive_attributes(CTX, "LOV"), "schema-violation"),
     ("derive_objects", lambda: derive_objects(CTX, "scholarly citation"), "schema-violation"),
@@ -276,6 +288,23 @@ REJECTED = [
     ("from_feature_sets-feature-set", lambda: FormalContext.from_feature_sets(Dimension.COMBINED, ["g"], {"g": "ab"}), "schema-violation"),
     ("register_feature-dimension", lambda: register_feature(REGISTRY, "brand new", "semantic-property", CONTEXTS.values()), "schema-violation"),
     ("from_feature_sets-keys", lambda: FormalContext.from_feature_sets(Dimension.COMBINED, ["g"], {"g": ["a"], "g ": ["b"]}), "duplicate-object"),
+    ("RegistryEntry-dimension", lambda: RegistryEntry("x", "semantic-property"), "schema-violation"),
+    ("RegistryEntry-empty-name", lambda: RegistryEntry(" ", Dimension.SEMANTIC_PROPERTY), "empty-name"),
+    ("RegistryEntry-introduced-by", lambda: RegistryEntry("x", Dimension.SEMANTIC_PROPERTY, 5), "schema-violation"),
+    ("FeatureRegistry-number", lambda: FeatureRegistry(5), "schema-violation"),
+    ("FeatureRegistry-string", lambda: FeatureRegistry("ab"), "schema-violation"),
+    ("FeatureRegistry-item", lambda: FeatureRegistry([1]), "schema-violation"),
+    ("FeatureRegistry-combined", lambda: FeatureRegistry([RegistryEntry("x", Dimension.COMBINED)]), "combined-dimension"),
+    (
+        "FeatureRegistry-conflict",
+        lambda: FeatureRegistry([RegistryEntry("a", Dimension.SEMANTIC_PROPERTY), RegistryEntry("a", Dimension.PRAGMATIC_PROPERTY)]),
+        "dimension-conflict",
+    ),
+    ("merge_contexts-string", lambda: merge_contexts("ab"), "schema-violation"),
+    ("merge_contexts-item", lambda: merge_contexts([1]), "schema-violation"),
+    ("implication_holds", lambda: implication_holds(CTX, "x"), "schema-violation"),
+    ("follows_from", lambda: follows_from("x", BASIS), "schema-violation"),
+    ("close_under_implications-item", lambda: close_under_implications(["ab"], []), "schema-violation"),
 ]
 
 
