@@ -36,15 +36,28 @@ def _mask(cells: Sequence[bool]) -> int:
     return int(b"0" + bytes(cells[::-1]).translate(_CELL_DIGITS), 2)
 
 
+def _typed(value, kind: type, what: str):
+    """value; one that is not an instance of kind raises InputError("schema-violation", "<what>, not <type>")."""
+    if not isinstance(value, kind):
+        raise InputError("schema-violation", f"{what}, not {type(value).__name__}")
+    return value
+
+
 def normalize_name(name: str) -> str:
     """Trim and collapse internal whitespace runs to a single space.
 
     Whitespace is every character for which ``str.isspace()`` holds.
     Comparison of names stays case-sensitive. A non-string raises InputError("schema-violation").
     """
-    if not isinstance(name, str):
-        raise InputError("schema-violation", f"a name must be a string, not {type(name).__name__}")
-    return " ".join(name.split())
+    return " ".join(_typed(name, str, "a name must be a string").split())
+
+
+def _name(raw: str, kind: str) -> str:
+    """raw normalized; a name empty after normalization raises InputError("empty-name")."""
+    name = normalize_name(raw)
+    if not name:
+        raise InputError("empty-name", f"{kind} name is empty after normalization")
+    return name
 
 
 class Dimension(Enum):
@@ -93,16 +106,12 @@ def _collection(items: Iterable, what: str) -> tuple:
 
 
 def _unique_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
-    out: list[str] = []
-    seen: set[str] = set()
+    out: dict[str, None] = {}  # a dict as an ordered set
     for raw in _collection(names, f"{kind} names"):
-        name = normalize_name(raw)
-        if not name:
-            raise InputError("empty-name", f"{kind} name is empty after normalization")
-        if name in seen:
+        name = _name(raw, kind)
+        if name in out:
             raise InputError(f"duplicate-{kind}", f"{kind} {name!r} declared twice", location=name)
-        seen.add(name)
-        out.append(name)
+        out[name] = None
     return tuple(out)
 
 
@@ -121,8 +130,7 @@ class FormalContext:
     incidence: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dimension, Dimension):
-            raise InputError("schema-violation", f"dimension must be a Dimension, not {type(self.dimension).__name__}")
+        _typed(self.dimension, Dimension, "dimension must be a Dimension")
         objects = _unique_names(self.objects, "object")
         attributes = _unique_names(self.attributes, "attribute")
         rows = tuple(tuple(map(bool, _collection(row, "incidence rows"))) for row in _collection(self.incidence, "incidence"))
@@ -193,9 +201,7 @@ class FormalContext:
         while reading objects in the given order.
         """
         objs = _unique_names(objects, "object")
-        if not isinstance(features, Mapping):
-            raise InputError("schema-violation", f"features must be a mapping, not {type(features).__name__}")
-        keys = _unique_names(features.keys(), "object")
+        keys = _unique_names(_typed(features, Mapping, "features must be a mapping").keys(), "object")
         unknown = set(keys) - set(objs)
         if unknown:
             raise InputError("unknown-object", f"feature sets for undeclared objects: {sorted(unknown)}")
@@ -322,8 +328,7 @@ def json_object(text: str, required: Iterable[str] = (), allowed: Iterable[str] 
         raise InputError("invalid-json", f"lone surrogate {exc.object[exc.start]!r} is not text") from None
     except (ValueError, RecursionError) as exc:
         raise InputError("invalid-json", str(exc)) from None
-    if not isinstance(doc, dict):
-        raise InputError("schema-violation", "top level must be an object")
+    _typed(doc, dict, "top level must be an object")
     missing = set(required) - doc.keys()
     if missing:
         raise InputError("schema-violation", f"missing keys: {', '.join(map(repr, sorted(missing)))}")
@@ -343,9 +348,7 @@ _CELL_VALUES = frozenset((0, 1))
 def parse_json_context(text: str) -> FormalContext:
     """Parse the JSON context document; unlike CXT it carries its dimension."""
     doc = json_object(text, _JSON_KEYS, _JSON_KEYS)
-    if not isinstance(doc["dimension"], str):
-        raise InputError("schema-violation", "dimension must be a string")
-    dimension = Dimension.from_tag(doc["dimension"])
+    dimension = Dimension.from_tag(_typed(doc["dimension"], str, "dimension must be a string"))
     inc = _collection(doc["incidence"], "incidence")
     for i, row in enumerate(inc):
         # json.loads yields exact types, so the type check rejects every float, string,
@@ -413,10 +416,18 @@ def attribute_frequency(ctx: FormalContext) -> Mapping[str, int]:
     return MappingProxyType(dict(zip(ctx.attributes, map(int.bit_count, ctx.column_masks))))
 
 
+def _contexts(contexts: Iterable[FormalContext]) -> tuple[FormalContext, ...]:
+    """contexts as a tuple; anything but a collection of FormalContext values raises InputError("schema-violation")."""
+    contexts = _collection(contexts, "contexts")
+    for ctx in contexts:
+        _typed(ctx, FormalContext, "contexts must be FormalContext values")
+    return contexts
+
+
 def universal_features(contexts: Iterable[FormalContext]) -> tuple[tuple[Dimension, str], ...]:
     """(dimension, attribute) pairs exhibited by every object of their context."""
     out = []
-    for ctx in contexts:
+    for ctx in _contexts(contexts):
         if not ctx.objects:
             continue
         freq = attribute_frequency(ctx)
@@ -427,7 +438,7 @@ def universal_features(contexts: Iterable[FormalContext]) -> tuple[tuple[Dimensi
 def singleton_features(contexts: Iterable[FormalContext]) -> tuple[tuple[Dimension, str], ...]:
     """(dimension, attribute) pairs exhibited by exactly one object."""
     out = []
-    for ctx in contexts:
+    for ctx in _contexts(contexts):
         freq = attribute_frequency(ctx)
         out.extend((ctx.dimension, a) for a in ctx.attributes if freq[a] == 1)
     return tuple(out)
@@ -445,14 +456,10 @@ class RegistryEntry:
     introduced_by: str | None = None
 
     def __post_init__(self) -> None:
-        name = normalize_name(self.name)
-        if not name:
-            raise InputError("empty-name", "feature name is empty after normalization")
-        if not isinstance(self.dimension, Dimension):
-            raise InputError("schema-violation", f"dimension must be a Dimension, not {type(self.dimension).__name__}")
-        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "name", _name(self.name, "feature"))
+        _typed(self.dimension, Dimension, "dimension must be a Dimension")
         if self.introduced_by is not None:
-            object.__setattr__(self, "introduced_by", normalize_name(self.introduced_by))
+            object.__setattr__(self, "introduced_by", _name(self.introduced_by, "object"))
 
 
 @dataclass(frozen=True)
@@ -469,8 +476,7 @@ class FeatureRegistry:
     def __post_init__(self) -> None:
         by_name: dict[str, RegistryEntry] = {}
         for entry in _collection(self.entries, "registry entries"):
-            if not isinstance(entry, RegistryEntry):
-                raise InputError("schema-violation", f"registry entries must be RegistryEntry values, not {type(entry).__name__}")
+            _typed(entry, RegistryEntry, "registry entries must be RegistryEntry values")
             if entry.dimension is Dimension.COMBINED:
                 raise InputError("combined-dimension", "features register under a per-dimension axis, not combined")
             first = by_name.setdefault(entry.name, entry)
@@ -515,6 +521,7 @@ def register_feature(
     no-op with nothing pending; under a different dimension it is an error.
     """
     entry = RegistryEntry(name, dimension, introduced_by)
+    contexts = _contexts(contexts)
     grown = FeatureRegistry(registry.entries + (entry,))
     if len(grown) == len(registry):
         return registry, ()
@@ -535,7 +542,7 @@ def registry_from_contexts(contexts: Iterable[FormalContext]) -> FeatureRegistry
     """
     return FeatureRegistry(
         RegistryEntry(attr, ctx.dimension, next(compress(ctx.objects, _bits(column)), None))
-        for ctx in contexts
+        for ctx in _contexts(contexts)
         for attr, column in zip(ctx.attributes, ctx.column_masks)
     )
 
@@ -549,25 +556,20 @@ def merge_contexts(contexts: Sequence[FormalContext]) -> FormalContext:
     Attributes are qualified as ``<dimension>:<name>`` so the merged columns
     stay pairwise distinct; incidence is concatenated horizontally.
     """
-    contexts = _collection(contexts, "contexts")
-    for ctx in contexts:
-        if not isinstance(ctx, FormalContext):
-            raise InputError("schema-violation", f"contexts must be FormalContext values, not {type(ctx).__name__}")
+    contexts = _contexts(contexts)
     if not contexts:
         raise InputError("empty-merge", "nothing to merge")
     base = contexts[0].objects
     for ctx in contexts[1:]:
         if ctx.objects != base:
             raise InputError("object-mismatch", "contexts disagree on the object set or its order")
-    attrs: list[str] = []
-    seen: set[str] = set()
+    attrs: dict[str, None] = {}  # a dict as an ordered set
     for ctx in contexts:
         for a in ctx.attributes:
             qualified = f"{ctx.dimension.value}:{a}"
-            if qualified in seen:
+            if qualified in attrs:
                 raise InputError("attribute-collision", f"duplicate qualified attribute {qualified!r}", location=qualified)
-            seen.add(qualified)
-            attrs.append(qualified)
+            attrs[qualified] = None
     rows = tuple(
         tuple(v for ctx in contexts for v in ctx.incidence[i])
         for i in range(len(base))

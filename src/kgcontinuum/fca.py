@@ -14,7 +14,7 @@ from itertools import accumulate, compress
 from operator import and_, or_
 from typing import ClassVar
 
-from .context import FormalContext, _bits, _collection
+from .context import FormalContext, _bits, _collection, _typed
 from .errors import InputError
 
 
@@ -34,9 +34,19 @@ class Implication:
     conclusion: frozenset[str]
 
     def __post_init__(self) -> None:
-        premise = frozenset(self.premise)
+        premise = _name_set(self.premise, "premise")
         object.__setattr__(self, "premise", premise)
-        object.__setattr__(self, "conclusion", frozenset(self.conclusion) - premise)
+        object.__setattr__(self, "conclusion", _name_set(self.conclusion, "conclusion") - premise)
+
+
+def _name_set(names: Iterable[str], what: str) -> frozenset[str]:
+    """names as a frozenset; anything but a collection of hashable names raises InputError("schema-violation")."""
+    if type(names) is frozenset:  # as implication_basis builds every side, tens of thousands per context
+        return names
+    try:
+        return frozenset(_collection(names, what))
+    except TypeError:  # an unhashable name
+        raise InputError("schema-violation", "attribute names must be hashable") from None
 
 
 # --- bitmask plumbing ---------------------------------------------------------
@@ -286,15 +296,9 @@ def lattice_json(lattice: ConceptLattice) -> dict:
 # --- implications -----------------------------------------------------------
 
 
-def _implication(implication: Implication) -> Implication:
-    if not isinstance(implication, Implication):
-        raise InputError("schema-violation", f"an implication must be an Implication, not {type(implication).__name__}")
-    return implication
-
-
 def implication_holds(ctx: FormalContext, implication: Implication) -> bool:
     """True iff every object carrying the premise also carries the conclusion."""
-    implication = _implication(implication)
+    implication = _typed(implication, Implication, "an implication must be an Implication")
     pmask = _attr_mask(ctx, implication.premise)
     cmask = _attr_mask(ctx, implication.conclusion)
     return cmask & _close_attr_mask(ctx, pmask) == cmask
@@ -307,11 +311,9 @@ def close_under_implications(implications: Iterable[Implication], attributes: It
     def mask(names: Iterable[str]) -> int:
         return sum({1 << number.setdefault(name, len(number)) for name in names})  # distinct bits: sum is OR
 
-    try:
-        start = mask(_collection(attributes, "attributes"))
-    except TypeError:  # an unhashable name
-        raise InputError("schema-violation", "attribute names must be hashable") from None
-    pairs = [(mask(imp.premise), mask(imp.conclusion)) for imp in map(_implication, _collection(implications, "implications"))]
+    start = mask(_name_set(attributes, "attributes"))
+    typed = (_typed(imp, Implication, "an implication must be an Implication") for imp in _collection(implications, "implications"))
+    pairs = [(mask(imp.premise), mask(imp.conclusion)) for imp in typed]
     index = _ImplicationIndex(len(number))
     for premise, conclusion in pairs:
         index.add(premise, premise | conclusion)
@@ -320,7 +322,8 @@ def close_under_implications(implications: Iterable[Implication], attributes: It
 
 def follows_from(implication: Implication, basis: Iterable[Implication]) -> bool:
     """Whether an implication is entailed by a set of implications."""
-    return _implication(implication).conclusion <= close_under_implications(basis, implication.premise)
+    implication = _typed(implication, Implication, "an implication must be an Implication")
+    return implication.conclusion <= close_under_implications(basis, implication.premise)
 
 
 class _ImplicationIndex:

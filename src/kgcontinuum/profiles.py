@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from types import MappingProxyType
 
-from .context import Dimension, FeatureRegistry, FormalContext, _collection, json_object, normalize_name
+from .context import Dimension, FeatureRegistry, FormalContext, _collection, _contexts, _typed, json_object, normalize_name
 from .errors import InputError
 from .fca import ConceptLattice, _extent_mask, _intent_mask, _obj_mask
 
@@ -30,8 +30,8 @@ def _sides(
 
 
 def _freeze(features: Mapping[Dimension, Iterable[str]]) -> Mapping[Dimension, frozenset[str]]:
-    if not isinstance(features, Mapping) or not all(isinstance(d, Dimension) for d in features):
-        raise InputError("schema-violation", "feature sets must be a mapping keyed by Dimension members")
+    for d in _typed(features, Mapping, "feature sets must be a mapping keyed by Dimension members"):
+        _typed(d, Dimension, "feature sets must be a mapping keyed by Dimension members")
     return MappingProxyType({
         d: frozenset(map(normalize_name, _collection(features[d], f"{d.value} features"))) for d in _dimensions(features)
     })
@@ -63,8 +63,8 @@ class RequirementSet:
     required: Mapping[Dimension, frozenset[str]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.community, str) or not isinstance(self.task, str):
-            raise InputError("schema-violation", "community and task must be strings")
+        _typed(self.community, str, "community must be a string")
+        _typed(self.task, str, "task must be a string")
         object.__setattr__(self, "required", _freeze(self.required))
 
 
@@ -109,10 +109,8 @@ class CostModel:
     overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.overrides, Mapping):
-            raise InputError("schema-violation", "overrides must map feature names to numbers")
         weights: dict[str, float] = {}
-        for key, value in self.overrides.items():
+        for key, value in _typed(self.overrides, Mapping, "overrides must map feature names to numbers").items():
             name = normalize_name(key)
             if name in weights:
                 raise InputError("duplicate-feature", f"feature {name!r} has two overrides", location=name)
@@ -138,7 +136,7 @@ def profile_of(contexts: Iterable[FormalContext], kg: str) -> KgProfile:
     """
     name = normalize_name(kg)
     features: dict[Dimension, frozenset[str]] = {}
-    for ctx in contexts:
+    for ctx in _contexts(contexts):
         row = ctx.object_index.get(name)
         if row is None:
             raise InputError("unknown-object", f"unknown object {name!r}")
@@ -250,11 +248,8 @@ def transformation_delta(
 def requirement_from_json(text: str) -> RequirementSet:
     """Parse {"community", "task", "required": {"<dimension>": [...]}}."""
     doc = json_object(text, ("community", "task", "required"))
-    required = doc["required"]
-    if not isinstance(required, dict):
-        raise InputError("schema-violation", "required must map dimension tags to feature lists")
-    by_dim = {Dimension.from_tag(tag): feats for tag, feats in required.items()}
-    return RequirementSet(doc["community"], doc["task"], by_dim)
+    required = _typed(doc["required"], dict, "required must map dimension tags to feature lists")
+    return RequirementSet(doc["community"], doc["task"], {Dimension.from_tag(tag): feats for tag, feats in required.items()})
 
 
 def cost_model_from_json(text: str) -> CostModel:

@@ -363,7 +363,7 @@ def test_parse_json_rejects_non_string_dimension():
     doc = {"dimension": 1, "objects": [], "attributes": [], "incidence": []}
     with pytest.raises(InputError) as err:
         parse_json_context(json.dumps(doc))
-    assert (err.value.code, err.value.message) == ("schema-violation", "dimension must be a string")
+    assert (err.value.code, err.value.message) == ("schema-violation", "dimension must be a string, not int")
 
 
 @pytest.mark.parametrize("incidence,kind", [({}, "dict"), ("", "str"), (5, "int"), (None, "NoneType")])

@@ -17,6 +17,7 @@ from kgcontinuum import (
     Dimension,
     FeatureRegistry,
     FormalContext,
+    Implication,
     InputError,
     KgProfile,
     RequirementSet,
@@ -34,6 +35,7 @@ from kgcontinuum import (
     meet,
     merge_contexts,
     next_closure,
+    normalize_name,
     object_concept,
     parse_cxt,
     parse_json_context,
@@ -44,6 +46,8 @@ from kgcontinuum import (
     requirement_from_json,
     serialize_cxt,
     serialize_json_context,
+    singleton_features,
+    universal_features,
 )
 from kgcontinuum.cli import main
 
@@ -212,6 +216,7 @@ CONSTRUCTORS = [
         st.dictionaries(names, st.lists(names, max_size=3), max_size=3),
         st.none() | st.lists(names, max_size=3),
     ]),
+    (Implication, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
 ]
 
 
@@ -237,6 +242,7 @@ REGISTRY = registry_from_contexts(CONTEXTS[d] for d in PER_DIMENSION)
 kg_or_any = st.sampled_from(CTX.objects) | names
 attribute_or_any = st.sampled_from(CTX.attributes) | names
 indices = st.integers(-1, len(LATTICE.masks))
+context_lists = st.lists(st.sampled_from(list(CONTEXTS.values())), max_size=3)
 # each query against the corpus context, its lattice, basis or registry, with a well-typed strategy per remaining field
 QUERIES = [
     ("features_of", CTX.features_of, [kg_or_any]),
@@ -251,7 +257,10 @@ QUERIES = [
     ("close_under_implications", partial(close_under_implications, BASIS), [st.lists(attribute_or_any, max_size=3)]),
     ("implication_holds", partial(implication_holds, CTX), [st.sampled_from(BASIS)]),
     ("follows_from", partial(follows_from, basis=BASIS), [st.sampled_from(BASIS)]),
-    ("merge_contexts", merge_contexts, [st.lists(st.sampled_from(list(CONTEXTS.values())), max_size=3)]),
+    ("merge_contexts", merge_contexts, [context_lists]),
+    ("registry_from_contexts", registry_from_contexts, [context_lists]),
+    ("universal_features", universal_features, [context_lists]),
+    ("singleton_features", singleton_features, [context_lists]),
     ("profile_of", partial(profile_of, CONTEXTS.values()), [kg_or_any]),
     ("object_concept", partial(object_concept, LATTICE), [kg_or_any]),
     ("common_position", partial(common_position, LATTICE), [st.lists(kg_or_any, max_size=3)]),
@@ -275,7 +284,8 @@ def test_queries_raise_only_input_errors(query, typed, data):
 # each query that takes a collection of names, given a bare string, which would read as its characters;
 # register_feature given a dimension tag instead of a Dimension; from_feature_sets given two keys
 # that normalize to one object; the registry types given what the registry rules forbid; and the
-# queries over contexts and implications given something else
+# queries over contexts and implications given something else; and Implication given sides that are not collections
+SP = Dimension.SEMANTIC_PROPERTY
 REJECTED = [
     ("derive_attributes", lambda: derive_attributes(CTX, "LOV"), "schema-violation"),
     ("derive_objects", lambda: derive_objects(CTX, "scholarly citation"), "schema-violation"),
@@ -305,6 +315,17 @@ REJECTED = [
     ("implication_holds", lambda: implication_holds(CTX, "x"), "schema-violation"),
     ("follows_from", lambda: follows_from("x", BASIS), "schema-violation"),
     ("close_under_implications-item", lambda: close_under_implications(["ab"], []), "schema-violation"),
+    ("registry_from_contexts-item", lambda: registry_from_contexts([1]), "schema-violation"),
+    ("registry_from_contexts-number", lambda: registry_from_contexts(5), "schema-violation"),
+    ("register_feature-contexts", lambda: register_feature(FeatureRegistry(), "x", SP, [1]), "schema-violation"),
+    ("register_feature-registered-contexts", lambda: register_feature(REGISTRY, CTX.attributes[0], CTX.dimension, [1]), "schema-violation"),
+    ("profile_of-item", lambda: profile_of([1], "x"), "schema-violation"),
+    ("universal_features-item", lambda: universal_features([1]), "schema-violation"),
+    ("singleton_features-number", lambda: singleton_features(5), "schema-violation"),
+    ("Implication-string", lambda: Implication("ab", "c"), "schema-violation"),
+    ("Implication-number", lambda: Implication(1, 2), "schema-violation"),
+    ("RegistryEntry-empty-introduced-by", lambda: RegistryEntry("x", SP, "  "), "empty-name"),
+    ("register_feature-empty-introduced-by", lambda: register_feature(FeatureRegistry(), "x", SP, introduced_by="  "), "empty-name"),
 ]
 
 
@@ -313,6 +334,37 @@ def test_queries_reject_bare_strings_and_duplicate_keys(call, code):
     with pytest.raises(InputError) as err:
         call()
     assert err.value.code == code
+
+
+# every argument of the wrong type, at each place that checks one, and the type the message names
+WRONG_TYPES = [
+    ("normalize_name", lambda: normalize_name(5), "int"),
+    ("FormalContext-dimension", lambda: FormalContext("combined", [], [], []), "str"),
+    ("from_feature_sets-features", lambda: FormalContext.from_feature_sets(SP, ["g"], ["g"]), "list"),
+    ("json-top-level", lambda: parse_json_context("[1]"), "list"),
+    ("json-dimension", lambda: parse_json_context('{"dimension": 1, "objects": [], "attributes": [], "incidence": []}'), "int"),
+    ("RegistryEntry-dimension", lambda: RegistryEntry("x", "semantic-property"), "str"),
+    ("FeatureRegistry-item", lambda: FeatureRegistry([1]), "int"),
+    ("merge_contexts-item", lambda: merge_contexts([1]), "int"),
+    ("registry_from_contexts-item", lambda: registry_from_contexts([None]), "NoneType"),
+    ("implication_holds", lambda: implication_holds(CTX, "x"), "str"),
+    ("follows_from", lambda: follows_from(("a", "b"), BASIS), "tuple"),
+    ("close_under_implications-item", lambda: close_under_implications([1], []), "int"),
+    ("KgProfile-features", lambda: KgProfile("x", [1]), "list"),
+    ("KgProfile-key", lambda: KgProfile("x", {"semantic-property": []}), "str"),
+    ("RequirementSet-community", lambda: RequirementSet(1, "t", {}), "int"),
+    ("RequirementSet-task", lambda: RequirementSet("c", None, {}), "NoneType"),
+    ("CostModel-overrides", lambda: CostModel(overrides=[1]), "list"),
+    ("requirement-required", lambda: requirement_from_json('{"community": "c", "task": "t", "required": []}'), "list"),
+]
+
+
+@pytest.mark.parametrize("call,kind", [row[1:] for row in WRONG_TYPES], ids=[row[0] for row in WRONG_TYPES])
+def test_wrong_types_name_the_type_given(call, kind):
+    with pytest.raises(InputError) as err:
+        call()
+    assert err.value.code == "schema-violation"
+    assert err.value.message.endswith(f", not {kind}")
 
 
 # --- the CLI over generated files ------------------------------------------------
