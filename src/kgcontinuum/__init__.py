@@ -38,6 +38,7 @@ _EXPORTS = {
             "singleton_features",
             "universal_features",
             "validate_context",
+            "validation_json",
         )),
         ("corpus", ("KG_NAMES", "ProvenanceCorpus", "load_corpus", "verify_corpus")),
         ("errors", ("ContinuumError", "InputError", "IntegrityError")),

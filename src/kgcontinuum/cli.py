@@ -8,7 +8,6 @@ stderr. Setting the CONTINUUM_NO_COLOR environment variable disables stderr styl
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from collections.abc import Sequence
@@ -27,6 +26,7 @@ from .context import (
     serialize_cxt,
     serialize_json_context,
     validate_context,
+    validation_json,
 )
 from .errors import InputError, IntegrityError
 from .fca import build_lattice, implication_basis, lattice_json
@@ -221,7 +221,7 @@ def _cmd_validate(args) -> int:
         if args.corpus is not None or args.context is None or exc.code in ("dimension-flag-required", "dimension-flag-forbidden"):
             raise
         report = ValidationReport(errors=(Finding(exc.code, exc.message, exc.location),))
-    _emit(args, _json_text(dataclasses.asdict(report)))
+    _emit(args, _json_text(validation_json(report)))
     return 0 if report.ok else 1
 
 
@@ -235,7 +235,7 @@ def _cmd_corpus_verify(args) -> int:
     from .corpus import load_corpus, verify_corpus
 
     report = verify_corpus(load_corpus())
-    _emit(args, _json_text(dataclasses.asdict(report)))
+    _emit(args, _json_text(validation_json(report)))
     return 0 if report.ok else 2
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import reprlib
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import compress
@@ -36,11 +35,53 @@ def _mask(cells: Sequence[bool]) -> int:
     return int(b"0" + bytes(cells[::-1]).translate(_CELL_DIGITS), 2)
 
 
-def _typed(value, kind: type, what: str):
+def _typed(value, kind: type | tuple[type, ...], what: str):
     """value; one that is not an instance of kind raises InputError("schema-violation", "<what>, not <type>")."""
     if not isinstance(value, kind):
         raise InputError("schema-violation", f"{what}, not {type(value).__name__}")
     return value
+
+
+# object.__setattr__ bound once: each __init__ writes its fields past _Frozen.__setattr__ with it,
+# and a module global is looked up faster than an attribute of a builtin
+_set_field = object.__setattr__
+
+
+class _Frozen:
+    """Immutable value: the fields are the names annotated in the class body, in that order, and
+    __init__ sets each once through _set_field.
+
+    Two values are equal when they are of the same class and their field
+    tuples are equal; the hash is that tuple's, and the repr lists the fields.
+    Instances keep a __dict__, so cached_property and pickling work as usual.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def normalize_name(name: str) -> str:
@@ -115,8 +156,7 @@ def _unique_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FormalContext:
+class FormalContext(_Frozen):
     """Objects-by-attributes incidence table tagged with a dimension.
 
     Declaration order of objects and attributes is part of the value: it fixes
@@ -129,11 +169,17 @@ class FormalContext:
     attributes: tuple[str, ...]
     incidence: tuple[tuple[bool, ...], ...]
 
-    def __post_init__(self) -> None:
-        _typed(self.dimension, Dimension, "dimension must be a Dimension")
-        objects = _unique_names(self.objects, "object")
-        attributes = _unique_names(self.attributes, "attribute")
-        rows = tuple(tuple(map(bool, _collection(row, "incidence rows"))) for row in _collection(self.incidence, "incidence"))
+    def __init__(
+        self,
+        dimension: Dimension,
+        objects: Iterable[str],
+        attributes: Iterable[str],
+        incidence: Iterable[Iterable[bool]],
+    ) -> None:
+        _typed(dimension, Dimension, "dimension must be a Dimension")
+        objects = _unique_names(objects, "object")
+        attributes = _unique_names(attributes, "attribute")
+        rows = tuple(tuple(map(bool, _collection(row, "incidence rows"))) for row in _collection(incidence, "incidence"))
         if len(rows) != len(objects):
             raise InputError(
                 "count-mismatch",
@@ -146,9 +192,10 @@ class FormalContext:
                     f"row for {obj!r} has {len(row)} cells, expected {len(attributes)}",
                     location=obj,
                 )
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "incidence", rows)
+        _set_field(self, "dimension", dimension)
+        _set_field(self, "objects", objects)
+        _set_field(self, "attributes", attributes)
+        _set_field(self, "incidence", rows)
 
     @cached_property
     def object_index(self) -> Mapping[str, int]:
@@ -296,6 +343,7 @@ def parse_cxt(text: str, dimension: Dimension = Dimension.COMBINED) -> FormalCon
 
 def serialize_cxt(ctx: FormalContext) -> str:
     """Emit a Burmeister CXT document; inverse of parse_cxt modulo the dimension tag."""
+    _typed(ctx, FormalContext, "a context must be a FormalContext")
     lines = ["B", "", str(len(ctx.objects)), str(len(ctx.attributes)), ""]
     lines.extend(ctx.objects)
     lines.extend(ctx.attributes)
@@ -365,6 +413,7 @@ def _json_text(doc) -> str:
 
 def serialize_json_context(ctx: FormalContext) -> str:
     """Emit the JSON context document; inverse of parse_json_context."""
+    _typed(ctx, FormalContext, "a context must be a FormalContext")
     doc = {
         "dimension": ctx.dimension.value,
         "objects": list(ctx.objects),
@@ -377,17 +426,24 @@ def serialize_json_context(ctx: FormalContext) -> str:
 # --- Validation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(_Frozen):
     code: str
     message: str
-    location: str | None = None
+    location: str | None
+
+    def __init__(self, code: str, message: str, location: str | None = None) -> None:
+        _set_field(self, "code", code)
+        _set_field(self, "message", message)
+        _set_field(self, "location", location)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: tuple[Finding, ...] = ()
-    warnings: tuple[Finding, ...] = ()
+class ValidationReport(_Frozen):
+    errors: tuple[Finding, ...]
+    warnings: tuple[Finding, ...]
+
+    def __init__(self, errors: tuple[Finding, ...] = (), warnings: tuple[Finding, ...] = ()) -> None:
+        _set_field(self, "errors", errors)
+        _set_field(self, "warnings", warnings)
 
     @property
     def ok(self) -> bool:
@@ -411,8 +467,19 @@ def validate_context(ctx: FormalContext) -> ValidationReport:
     return ValidationReport(errors=(), warnings=tuple(warnings))
 
 
+def validation_json(report: ValidationReport) -> dict:
+    """JSON-ready dict of a validation report: its errors and warnings, each finding's keys in field order."""
+
+    def findings(items: tuple[Finding, ...]) -> list[dict]:
+        return [{"code": f.code, "message": f.message, "location": f.location} for f in items]
+
+    _typed(report, ValidationReport, "a report must be a ValidationReport")
+    return {"errors": findings(report.errors), "warnings": findings(report.warnings)}
+
+
 def attribute_frequency(ctx: FormalContext) -> Mapping[str, int]:
     """Number of objects exhibiting each attribute, keyed by attribute name: the bit count of its column mask."""
+    _typed(ctx, FormalContext, "a context must be a FormalContext")
     return MappingProxyType(dict(zip(ctx.attributes, map(int.bit_count, ctx.column_masks))))
 
 
@@ -447,23 +514,20 @@ def singleton_features(contexts: Iterable[FormalContext]) -> tuple[tuple[Dimensi
 # --- Feature registry -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(_Frozen):
     """One feature: its normalized name, its axis and the first object seen with it, if any."""
 
     name: str
     dimension: Dimension
-    introduced_by: str | None = None
+    introduced_by: str | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name", _name(self.name, "feature"))
-        _typed(self.dimension, Dimension, "dimension must be a Dimension")
-        if self.introduced_by is not None:
-            object.__setattr__(self, "introduced_by", _name(self.introduced_by, "object"))
+    def __init__(self, name: str, dimension: Dimension, introduced_by: str | None = None) -> None:
+        _set_field(self, "name", _name(name, "feature"))
+        _set_field(self, "dimension", _typed(dimension, Dimension, "dimension must be a Dimension"))
+        _set_field(self, "introduced_by", None if introduced_by is None else _name(introduced_by, "object"))
 
 
-@dataclass(frozen=True)
-class FeatureRegistry:
+class FeatureRegistry(_Frozen):
     """Append-only catalogue of known features; each belongs to one per-dimension axis.
 
     Entries are read in order: a name repeated under its own dimension keeps
@@ -471,11 +535,11 @@ class FeatureRegistry:
     held under another dimension raises InputError.
     """
 
-    entries: tuple[RegistryEntry, ...] = ()
+    entries: tuple[RegistryEntry, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Iterable[RegistryEntry] = ()) -> None:
         by_name: dict[str, RegistryEntry] = {}
-        for entry in _collection(self.entries, "registry entries"):
+        for entry in _collection(entries, "registry entries"):
             _typed(entry, RegistryEntry, "registry entries must be RegistryEntry values")
             if entry.dimension is Dimension.COMBINED:
                 raise InputError("combined-dimension", "features register under a per-dimension axis, not combined")
@@ -486,8 +550,8 @@ class FeatureRegistry:
                     f"{entry.name!r} is already registered under {first.dimension.value}",
                     location=entry.name,
                 )
-        object.__setattr__(self, "entries", tuple(by_name.values()))
-        object.__setattr__(self, "_by_name", by_name)
+        _set_field(self, "entries", tuple(by_name.values()))
+        _set_field(self, "_by_name", by_name)
 
     @cached_property
     def _names_by_dimension(self) -> Mapping[Dimension, frozenset[str]]:
@@ -520,6 +584,7 @@ def register_feature(
     Registering a name that already exists under the same dimension is a
     no-op with nothing pending; under a different dimension it is an error.
     """
+    _typed(registry, FeatureRegistry, "a registry must be a FeatureRegistry")
     entry = RegistryEntry(name, dimension, introduced_by)
     contexts = _contexts(contexts)
     grown = FeatureRegistry(registry.entries + (entry,))

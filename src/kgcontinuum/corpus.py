@@ -11,11 +11,21 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
 
-from .context import PER_DIMENSION, Dimension, Finding, FormalContext, ValidationReport, json_object, merge_contexts
+from .context import (
+    PER_DIMENSION,
+    Dimension,
+    Finding,
+    FormalContext,
+    ValidationReport,
+    _Frozen,
+    _set_field,
+    _typed,
+    json_object,
+    merge_contexts,
+)
 from .errors import InputError, IntegrityError
 from .fca import FormalConcept, enumerate_concepts
 
@@ -43,13 +53,22 @@ _ATTRIBUTE_COUNTS = {
 _RESOURCE = "data/provenance_corpus.json"
 
 
-@dataclass(frozen=True)
-class ProvenanceCorpus:
+class ProvenanceCorpus(_Frozen):
     """The four per-dimension contexts, their merge, and golden concept sets."""
 
     contexts: Mapping[Dimension, FormalContext]
     combined: FormalContext
     golden: Mapping[Dimension, tuple[FormalConcept, ...]]
+
+    def __init__(
+        self,
+        contexts: Mapping[Dimension, FormalContext],
+        combined: FormalContext,
+        golden: Mapping[Dimension, tuple[FormalConcept, ...]],
+    ) -> None:
+        _set_field(self, "contexts", contexts)
+        _set_field(self, "combined", combined)
+        _set_field(self, "golden", golden)
 
 
 def payload_checksum(payload: dict) -> str:
@@ -113,6 +132,7 @@ def verify_corpus(corpus: ProvenanceCorpus) -> ValidationReport:
     A concept the golden set lacks is reported as missing-golden-concept; a
     golden concept the recomputation no longer produces is stale-golden-concept.
     """
+    _typed(corpus, ProvenanceCorpus, "a corpus must be a ProvenanceCorpus")
     findings: list[Finding] = []
     for dim in PER_DIMENSION:
         ctx = corpus.contexts[dim]

@@ -8,35 +8,35 @@ the public surface speaks frozensets of names.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, compress
 from operator import and_, or_
-from typing import ClassVar
 
-from .context import FormalContext, _bits, _collection, _typed
+from .context import FormalContext, _bits, _collection, _Frozen, _set_field, _typed
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class FormalConcept:
+class FormalConcept(_Frozen):
     """A Galois fixpoint: the extent derives the intent and vice versa."""
 
     extent: frozenset[str]
     intent: frozenset[str]
 
+    def __init__(self, extent: frozenset[str], intent: frozenset[str]) -> None:
+        _set_field(self, "extent", extent)
+        _set_field(self, "intent", intent)
 
-@dataclass(frozen=True)
-class Implication:
+
+class Implication(_Frozen):
     """Attribute rule ``premise -> conclusion``, stored with disjoint sides."""
 
     premise: frozenset[str]
     conclusion: frozenset[str]
 
-    def __post_init__(self) -> None:
-        premise = _name_set(self.premise, "premise")
-        object.__setattr__(self, "premise", premise)
-        object.__setattr__(self, "conclusion", _name_set(self.conclusion, "conclusion") - premise)
+    def __init__(self, premise: Iterable[str], conclusion: Iterable[str]) -> None:
+        premise = _name_set(premise, "premise")
+        _set_field(self, "premise", premise)
+        _set_field(self, "conclusion", _name_set(conclusion, "conclusion") - premise)
 
 
 def _name_set(names: Iterable[str], what: str) -> frozenset[str]:
@@ -100,16 +100,19 @@ def _close_attr_mask(ctx: FormalContext, amask: int) -> int:
 
 def derive_attributes(ctx: FormalContext, objects: Iterable[str]) -> frozenset[str]:
     """Attributes common to all named objects; the empty set derives every attribute."""
+    _typed(ctx, FormalContext, "a context must be a FormalContext")
     return _attr_names(ctx, _intent_mask(ctx, _obj_mask(ctx, objects)))
 
 
 def derive_objects(ctx: FormalContext, attributes: Iterable[str]) -> frozenset[str]:
     """Objects carrying all named attributes; the empty set derives every object."""
+    _typed(ctx, FormalContext, "a context must be a FormalContext")
     return _obj_names(ctx, _extent_mask(ctx, _attr_mask(ctx, attributes)))
 
 
 def close_attributes(ctx: FormalContext, attributes: Iterable[str]) -> frozenset[str]:
     """Double derivation of an attribute set: extensive, monotone, idempotent."""
+    _typed(ctx, FormalContext, "a context must be a FormalContext")
     return _attr_names(ctx, _close_attr_mask(ctx, _attr_mask(ctx, attributes)))
 
 
@@ -142,6 +145,7 @@ def next_closure(ctx: FormalContext, current: Iterable[str] | None = None) -> fr
     attribute set (always closed) has been emitted. The enumeration visits
     every closed set exactly once, so its length equals the concept count.
     """
+    _typed(ctx, FormalContext, "a context must be a FormalContext")
     if current is None:
         return _attr_names(ctx, _close_attr_mask(ctx, 0))
     mask = _attr_mask(ctx, current)
@@ -182,14 +186,14 @@ def enumerate_concepts(ctx: FormalContext) -> tuple[FormalConcept, ...]:
     the sorted extent name tuples. Distinct concepts have distinct extents,
     so the order is total.
     """
+    _typed(ctx, FormalContext, "a context must be a FormalContext")
     return tuple(FormalConcept(_obj_names(ctx, e), _attr_names(ctx, i)) for e, i in _concept_masks(ctx))
 
 
 # --- lattice --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConceptLattice:
+class ConceptLattice(_Frozen):
     """Concepts in canonical order, as (extent, intent) bitmask pairs, and their upper covers.
 
     upper_covers[i] lists concept i's upper covers in increasing order. concepts,
@@ -200,7 +204,14 @@ class ConceptLattice:
     context: FormalContext
     masks: tuple[tuple[int, int], ...]
     upper_covers: tuple[tuple[int, ...], ...]
-    bottom_index: ClassVar[int] = 0
+    bottom_index = 0
+
+    def __init__(
+        self, context: FormalContext, masks: tuple[tuple[int, int], ...], upper_covers: tuple[tuple[int, ...], ...]
+    ) -> None:
+        _set_field(self, "context", context)
+        _set_field(self, "masks", masks)
+        _set_field(self, "upper_covers", upper_covers)
 
     @property
     def top_index(self) -> int:
@@ -249,6 +260,7 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
     pairs of concepts. Uppers are visited in increasing index, so every
     list of upper covers comes out in order.
     """
+    _typed(ctx, FormalContext, "a context must be a FormalContext")
     pairs = _concept_masks(ctx)
     index_of = {extent: i for i, (extent, _) in enumerate(pairs)}
     intents = [intent for _, intent in pairs]
@@ -270,11 +282,13 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
 
 def meet(lattice: ConceptLattice, i: int, j: int) -> int:
     """Index of the greatest lower bound of two concepts: extents are closed under intersection."""
+    _typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice")
     return lattice._index_by_extent[lattice._concept_at(i)[0] & lattice._concept_at(j)[0]]
 
 
 def join(lattice: ConceptLattice, i: int, j: int) -> int:
     """Index of the least upper bound of two concepts: the extent of their shared intent."""
+    _typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice")
     intent = lattice._concept_at(i)[1] & lattice._concept_at(j)[1]
     return lattice._index_by_extent[_extent_mask(lattice.context, intent)]
 
@@ -285,6 +299,7 @@ def lattice_json(lattice: ConceptLattice) -> dict:
     Ids are canonical-order labels c0, c1, ... and extent/intent lists follow
     declaration order, so the output is deterministic.
     """
+    _typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice")
     return {
         "concepts": [{"id": f"c{i}", "extent": list(objs), "intent": list(attrs)} for i, (objs, attrs) in enumerate(lattice.names)],
         "covers": [[f"c{lo}", f"c{up}"] for lo, ups in enumerate(lattice.upper_covers) for up in ups],
@@ -298,6 +313,7 @@ def lattice_json(lattice: ConceptLattice) -> dict:
 
 def implication_holds(ctx: FormalContext, implication: Implication) -> bool:
     """True iff every object carrying the premise also carries the conclusion."""
+    _typed(ctx, FormalContext, "a context must be a FormalContext")
     implication = _typed(implication, Implication, "an implication must be an Implication")
     pmask = _attr_mask(ctx, implication.premise)
     cmask = _attr_mask(ctx, implication.conclusion)
@@ -432,6 +448,7 @@ def implication_basis(ctx: FormalContext) -> tuple[Implication, ...]:
     most |M| ANDs per round of firing plus one OR per implication fired.
     No step scans all L implications.
     """
+    _typed(ctx, FormalContext, "a context must be a FormalContext")
     index = _ImplicationIndex(len(ctx.attributes))
     mask: int | None = 0
     while mask is not None:

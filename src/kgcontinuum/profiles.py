@@ -4,16 +4,27 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from itertools import compress
 from types import MappingProxyType
 
-from .context import Dimension, FeatureRegistry, FormalContext, _collection, _contexts, _typed, json_object, normalize_name
+from .context import (
+    Dimension,
+    FeatureRegistry,
+    FormalContext,
+    _collection,
+    _contexts,
+    _Frozen,
+    _set_field,
+    _typed,
+    json_object,
+    normalize_name,
+)
 from .errors import InputError
 from .fca import ConceptLattice, _extent_mask, _intent_mask, _obj_mask
 
 _DIMENSION_ORDER = {d: i for i, d in enumerate(Dimension)}
 _TAG = {d: d.value for d in Dimension}  # Enum.value is a Python-level descriptor; read each tag once
+_NO_OVERRIDES: Mapping[str, float] = MappingProxyType({})  # CostModel's default, shared because no one can change it
 
 
 def _dimensions(*maps: Mapping[Dimension, object]) -> list[Dimension]:
@@ -37,8 +48,7 @@ def _freeze(features: Mapping[Dimension, Iterable[str]]) -> Mapping[Dimension, f
     })
 
 
-@dataclass(frozen=True)
-class KgProfile:
+class KgProfile(_Frozen):
     """Feature sets one knowledge graph exhibits, keyed by dimension.
 
     The constructor normalizes the KG name and every feature name, so a
@@ -49,27 +59,25 @@ class KgProfile:
     kg: str
     features: Mapping[Dimension, frozenset[str]]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kg", normalize_name(self.kg))
-        object.__setattr__(self, "features", _freeze(self.features))
+    def __init__(self, kg: str, features: Mapping[Dimension, Iterable[str]]) -> None:
+        _set_field(self, "kg", normalize_name(kg))
+        _set_field(self, "features", _freeze(features))
 
 
-@dataclass(frozen=True)
-class RequirementSet:
+class RequirementSet(_Frozen):
     """Features a community needs for a task, keyed by dimension."""
 
     community: str
     task: str
     required: Mapping[Dimension, frozenset[str]]
 
-    def __post_init__(self) -> None:
-        _typed(self.community, str, "community must be a string")
-        _typed(self.task, str, "task must be a string")
-        object.__setattr__(self, "required", _freeze(self.required))
+    def __init__(self, community: str, task: str, required: Mapping[Dimension, Iterable[str]]) -> None:
+        _set_field(self, "community", _typed(community, str, "community must be a string"))
+        _set_field(self, "task", _typed(task, str, "task must be a string"))
+        _set_field(self, "required", _freeze(required))
 
 
-@dataclass(frozen=True)
-class FitnessReport:
+class FitnessReport(_Frozen):
     """Per-dimension split of required versus exhibited features.
 
     fit is true exactly when every gap set is empty; an empty requirement is
@@ -81,11 +89,26 @@ class FitnessReport:
     surplus: Mapping[Dimension, frozenset[str]]
     fit: bool
 
+    def __init__(
+        self,
+        satisfied: Mapping[Dimension, frozenset[str]],
+        gap: Mapping[Dimension, frozenset[str]],
+        surplus: Mapping[Dimension, frozenset[str]],
+        fit: bool,
+    ) -> None:
+        _set_field(self, "satisfied", satisfied)
+        _set_field(self, "gap", gap)
+        _set_field(self, "surplus", surplus)
+        _set_field(self, "fit", fit)
 
-@dataclass(frozen=True)
-class FeatureDelta:
+
+class FeatureDelta(_Frozen):
     add: frozenset[str]
     remove: frozenset[str]
+
+    def __init__(self, add: frozenset[str], remove: frozenset[str]) -> None:
+        _set_field(self, "add", add)
+        _set_field(self, "remove", remove)
 
 
 def _weight(value: float) -> float:
@@ -100,24 +123,25 @@ def _weight(value: float) -> float:
     return weight
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(_Frozen):
     """Weights for feature additions and removals; overrides are per feature name."""
 
-    add_weight: float = 1.0
-    remove_weight: float = 0.0
-    overrides: Mapping[str, float] = field(default_factory=dict)
+    add_weight: float
+    remove_weight: float
+    overrides: Mapping[str, float]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, add_weight: float = 1.0, remove_weight: float = 0.0, overrides: Mapping[str, float] = _NO_OVERRIDES
+    ) -> None:
         weights: dict[str, float] = {}
-        for key, value in _typed(self.overrides, Mapping, "overrides must map feature names to numbers").items():
+        for key, value in _typed(overrides, Mapping, "overrides must map feature names to numbers").items():
             name = normalize_name(key)
             if name in weights:
                 raise InputError("duplicate-feature", f"feature {name!r} has two overrides", location=name)
             weights[name] = _weight(value)
-        object.__setattr__(self, "add_weight", _weight(self.add_weight))
-        object.__setattr__(self, "remove_weight", _weight(self.remove_weight))
-        object.__setattr__(self, "overrides", MappingProxyType(weights))
+        _set_field(self, "add_weight", _weight(add_weight))
+        _set_field(self, "remove_weight", _weight(remove_weight))
+        _set_field(self, "overrides", MappingProxyType(weights))
 
     def add_cost(self, feature: str) -> float:
         return self.overrides.get(feature, self.add_weight)
@@ -145,15 +169,15 @@ def profile_of(contexts: Iterable[FormalContext], kg: str) -> KgProfile:
         features[dim] = features[dim] | exhibited if dim in features else exhibited
     if not features:
         raise InputError("missing-input", "no contexts supplied")
-    profile = object.__new__(KgProfile)  # skips __post_init__, which would normalize every feature again
-    object.__setattr__(profile, "kg", name)
-    object.__setattr__(profile, "features", MappingProxyType({d: features[d] for d in _dimensions(features)}))
+    profile = object.__new__(KgProfile)  # skips __init__, which would normalize every feature again
+    _set_field(profile, "kg", name)
+    _set_field(profile, "features", MappingProxyType({d: features[d] for d in _dimensions(features)}))
     return profile
 
 
 def _check_registered(role: str, features: Mapping[Dimension, frozenset[str]], registry: FeatureRegistry) -> None:
     # features are normalized on construction, so they compare directly with registered names
-    known = registry._names_by_dimension
+    known = _typed(registry, FeatureRegistry, "a registry must be a FeatureRegistry")._names_by_dimension
     for dim, feats in features.items():
         unknown = feats - known.get(dim, frozenset())
         if unknown:
@@ -175,6 +199,8 @@ def evaluate_fitness(
     When a registry is supplied, every profile and requirement feature must
     be registered under the dimension it is used in.
     """
+    _typed(profile, KgProfile, "a profile must be a KgProfile")
+    _typed(requirement, RequirementSet, "a requirement must be a RequirementSet")
     if registry is not None:
         _check_registered("profile", profile.features, registry)
         _check_registered("requirement", requirement.required, registry)
@@ -195,7 +221,8 @@ def gap_cost(report: FitnessReport, model: CostModel | None = None) -> float:
     The default model charges 1 per missing feature and nothing for surplus,
     so the cost of a fit KG is 0.
     """
-    model = model or CostModel()
+    _typed(report, FitnessReport, "a report must be a FitnessReport")
+    model = CostModel() if model is None else _typed(model, CostModel, "a cost model must be a CostModel")
     total = 0.0
     for feats in report.gap.values():
         total += sum(model.add_cost(f) for f in feats)
@@ -216,7 +243,7 @@ def common_position(lattice: ConceptLattice, kgs: Iterable[str]) -> int:
 
     Its intent is exactly the feature set the KGs share.
     """
-    ctx = lattice.context
+    ctx = _typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice").context
     intent = _intent_mask(ctx, _obj_mask(ctx, map(normalize_name, _collection(kgs, "KG names"))))
     return lattice._index_by_extent[_extent_mask(ctx, intent)]
 
@@ -231,6 +258,8 @@ def transformation_delta(
     Against a RequirementSet only missing features count; nothing is removed.
     Against another profile the delta is an exact set difference both ways.
     """
+    _typed(source, KgProfile, "a profile must be a KgProfile")
+    _typed(target, (KgProfile, RequirementSet), "a target must be a KgProfile or a RequirementSet")
     removing = isinstance(target, KgProfile)
     wanted = target.features if removing else target.required
     if registry is not None:
@@ -264,6 +293,8 @@ def _features_json(features: Mapping[Dimension, frozenset[str]]) -> dict[str, li
 
 def fitness_json(report: FitnessReport, *, kg: str, requirement: RequirementSet, cost: float | None = None) -> dict:
     """JSON-ready dict mirroring the report fields, plus cost when priced."""
+    _typed(report, FitnessReport, "a report must be a FitnessReport")
+    _typed(requirement, RequirementSet, "a requirement must be a RequirementSet")
     doc = {
         "kg": kg,
         "community": requirement.community,

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
+from .context import _Frozen, _set_field, _typed
 from .errors import InputError
 from .fca import ConceptLattice
 
@@ -12,11 +12,13 @@ from .fca import ConceptLattice
 EMPTY_MARK = "---"
 
 
-@dataclass(frozen=True)
-class Legend:
+class Legend(_Frozen):
     """One (objects, attributes) row per concept, in canonical order: row i is concept c{i}."""
 
     rows: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+
+    def __init__(self, rows: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]) -> None:
+        _set_field(self, "rows", rows)
 
     def to_markdown(self) -> str:
         lines = ["| ID | Objects | Attributes |", "| --- | --- | --- |"]
@@ -39,7 +41,7 @@ class Legend:
 
 def legend(lattice: ConceptLattice) -> Legend:
     """Tabulate every concept; names are listed in declaration order."""
-    return Legend(lattice.names)
+    return Legend(_typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice").names)
 
 
 def assign_layers(lattice: ConceptLattice) -> tuple[int, ...]:
@@ -48,6 +50,7 @@ def assign_layers(lattice: ConceptLattice) -> tuple[int, ...]:
     Layers strictly increase downward along every cover edge, so edges never
     run within a rank.
     """
+    _typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice")
     # canonical order puts every upper cover after its lower concept, so a
     # backward walk meets all upper covers of a concept before the concept
     layers = [0] * len(lattice.masks)

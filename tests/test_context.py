@@ -1,7 +1,6 @@
 """Context data model, CXT/JSON carriers, validation, registry, and merging."""
 
 import copy
-import dataclasses
 import json
 import pickle
 import sys
@@ -602,7 +601,7 @@ def test_registry_from_contexts_dimension_conflict_on_shared_name():
     assert err.value.code == "dimension-conflict"
     assert err.value.location == "shared"
     assert str(err.value) == "dimension-conflict: 'shared' is already registered under semantic-property (shared)"
-    same = registry_from_contexts([a, dataclasses.replace(b, dimension=Dimension.SEMANTIC_PROPERTY)])
+    same = registry_from_contexts([a, FormalContext(Dimension.SEMANTIC_PROPERTY, b.objects, b.attributes, b.incidence)])
     assert [(e.name, e.dimension, e.introduced_by) for e in same.entries] == [
         ("shared", Dimension.SEMANTIC_PROPERTY, "g2"),
         ("own", Dimension.SEMANTIC_PROPERTY, "g1"),
@@ -612,7 +611,7 @@ def test_registry_from_contexts_dimension_conflict_on_shared_name():
 
 @given(st.lists(st.tuples(contexts_strategy(max_objects=4, max_attributes=5), st.sampled_from(list(Dimension))), max_size=4))
 def test_registry_from_contexts_matches_one_registration_at_a_time(drawn):
-    contexts = [dataclasses.replace(ctx, dimension=d) for ctx, d in drawn]
+    contexts = [FormalContext(d, ctx.objects, ctx.attributes, ctx.incidence) for ctx, d in drawn]
     try:
         want = oracle_registry_from_contexts(contexts)
     except InputError as exc:

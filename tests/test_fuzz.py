@@ -1,6 +1,5 @@
 """Parsers of outside input, the value constructors and the queries raise InputError and nothing else; the CLI maps it to exit codes."""
 
-import dataclasses
 import io
 import json
 import tempfile
@@ -21,6 +20,8 @@ from kgcontinuum import (
     InputError,
     KgProfile,
     RequirementSet,
+    assign_layers,
+    attribute_frequency,
     build_lattice,
     close_attributes,
     close_under_implications,
@@ -28,10 +29,16 @@ from kgcontinuum import (
     cost_model_from_json,
     derive_attributes,
     derive_objects,
+    enumerate_concepts,
+    evaluate_fitness,
+    fitness_json,
     follows_from,
+    gap_cost,
     implication_basis,
     implication_holds,
     join,
+    lattice_json,
+    legend,
     meet,
     merge_contexts,
     next_closure,
@@ -47,7 +54,12 @@ from kgcontinuum import (
     serialize_cxt,
     serialize_json_context,
     singleton_features,
+    to_dot,
+    transformation_delta,
     universal_features,
+    validate_context,
+    validation_json,
+    verify_corpus,
 )
 from kgcontinuum.cli import main
 
@@ -367,6 +379,62 @@ def test_wrong_types_name_the_type_given(call, kind):
     assert err.value.message.endswith(f", not {kind}")
 
 
+PROFILE = profile_of(CONTEXTS.values(), CTX.objects[0])
+REQUIREMENT = RequirementSet("c", "t", {})
+REPORT = evaluate_fitness(PROFILE, REQUIREMENT)
+# each public function's context, lattice, corpus, registry, profile, requirement or report argument,
+# the one the call leaves open; an optional registry or cost model takes None for "none given"
+VALUE_ARGUMENTS = [
+    ("serialize_cxt", serialize_cxt),
+    ("serialize_json_context", serialize_json_context),
+    ("validate_context", validate_context),
+    ("attribute_frequency", attribute_frequency),
+    ("validation_json", validation_json),
+    ("register_feature", lambda v: register_feature(v, "x", SP)),
+    ("derive_attributes", lambda v: derive_attributes(v, [])),
+    ("derive_objects", lambda v: derive_objects(v, [])),
+    ("close_attributes", lambda v: close_attributes(v, [])),
+    ("next_closure", next_closure),
+    ("enumerate_concepts", enumerate_concepts),
+    ("build_lattice", build_lattice),
+    ("implication_holds", lambda v: implication_holds(v, BASIS[0])),
+    ("implication_basis", implication_basis),
+    ("meet", lambda v: meet(v, 0, 0)),
+    ("join", lambda v: join(v, 0, 0)),
+    ("lattice_json", lattice_json),
+    ("legend", legend),
+    ("assign_layers", assign_layers),
+    ("to_dot", to_dot),
+    ("verify_corpus", verify_corpus),
+    ("object_concept", lambda v: object_concept(v, CTX.objects[0])),
+    ("common_position", lambda v: common_position(v, CTX.objects[:1])),
+    ("evaluate_fitness-profile", lambda v: evaluate_fitness(v, REQUIREMENT)),
+    ("evaluate_fitness-requirement", lambda v: evaluate_fitness(PROFILE, v)),
+    ("gap_cost", gap_cost),
+    ("fitness_json-report", lambda v: fitness_json(v, kg="x", requirement=REQUIREMENT)),
+    ("fitness_json-requirement", lambda v: fitness_json(REPORT, kg="x", requirement=v)),
+    ("transformation_delta-source", lambda v: transformation_delta(v, PROFILE)),
+    ("transformation_delta-target", lambda v: transformation_delta(PROFILE, v)),
+]
+OPTIONAL_VALUE_ARGUMENTS = [
+    ("evaluate_fitness-registry", lambda v: evaluate_fitness(PROFILE, REQUIREMENT, v)),
+    ("gap_cost-model", lambda v: gap_cost(REPORT, v)),
+    ("transformation_delta-registry", lambda v: transformation_delta(PROFILE, PROFILE, v)),
+]
+WRONG_VALUES = [
+    *((f"{name}-{type(wrong).__name__}", call, wrong) for name, call in VALUE_ARGUMENTS for wrong in (5, "x", None)),
+    *((f"{name}-{type(wrong).__name__}", call, wrong) for name, call in OPTIONAL_VALUE_ARGUMENTS for wrong in (5, "x")),
+]
+
+
+@pytest.mark.parametrize("call,wrong", [row[1:] for row in WRONG_VALUES], ids=[row[0] for row in WRONG_VALUES])
+def test_value_arguments_of_another_type_are_schema_violations(call, wrong):
+    with pytest.raises(InputError) as err:
+        call(wrong)
+    assert err.value.code == "schema-violation"
+    assert err.value.message.endswith(f", not {type(wrong).__name__}")
+
+
 # --- the CLI over generated files ------------------------------------------------
 
 
@@ -374,7 +442,7 @@ def test_wrong_types_name_the_type_given(call, kind):
 def context_files(draw):
     """Context file text, well-formed or not, with the context whose names a --kg or requirement may use."""
     ctx = draw(contexts_strategy(max_objects=5, max_attributes=5))
-    ctx = dataclasses.replace(ctx, dimension=draw(st.sampled_from(PER_DIMENSION)))
+    ctx = FormalContext(draw(st.sampled_from(PER_DIMENSION)), ctx.objects, ctx.attributes, ctx.incidence)
     well_formed = st.sampled_from([serialize_cxt(ctx), serialize_json_context(ctx)])
     return draw(well_formed | well_formed | cxt_texts() | context_docs), ctx
 

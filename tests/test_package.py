@@ -32,6 +32,7 @@ EXPORTS = {
         "singleton_features",
         "universal_features",
         "validate_context",
+        "validation_json",
     ],
     "corpus": ["KG_NAMES", "ProvenanceCorpus", "load_corpus", "verify_corpus"],
     "errors": ["ContinuumError", "InputError", "IntegrityError"],
@@ -117,24 +118,30 @@ steps["after-fca"] = loaded()
 print(json.dumps(steps))
 """
 
+# runs the CLI command given in argv in a fresh interpreter and prints the kgcontinuum.* modules
+# loaded after the import and after the command, and every module the two steps added. The added
+# set is taken against the modules loaded before the import, so whatever site preloads does not count
 CLI_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
 def loaded():
     return sorted(m for m in sys.modules if m == "kgcontinuum" or m.startswith("kgcontinuum."))
+before = set(sys.modules)
 steps = {}
 import kgcontinuum.cli
 steps["import"] = loaded()
 with redirect_stdout(io.StringIO()):
-    steps["exit"] = kgcontinuum.cli.main(["lattice", "--corpus", "builtin", "--dimension", "combined"])
-steps["lattice"] = loaded()
+    steps["exit"] = kgcontinuum.cli.main(sys.argv[1:])
+steps["command"] = loaded()
+steps["added"] = sorted(set(sys.modules) - before)
 print(json.dumps(steps))
 """
+CLI_BASE = ["kgcontinuum", "kgcontinuum.cli", "kgcontinuum.context", "kgcontinuum.errors", "kgcontinuum.fca"]
 
 
-def _probe(script):
+def _probe(script, *args):
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env={"PYTHONPATH": SRC}, timeout=60
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env={"PYTHONPATH": SRC}, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -148,8 +155,31 @@ def test_bare_import_loads_no_submodule_until_one_is_read():
 
 
 def test_cli_loads_only_what_its_command_uses():
-    steps = _probe(CLI_PROBE)
-    base = ["kgcontinuum", "kgcontinuum.cli", "kgcontinuum.context", "kgcontinuum.errors", "kgcontinuum.fca"]
-    assert steps["import"] == base
+    steps = _probe(CLI_PROBE, "lattice", "--corpus", "builtin", "--dimension", "combined")
+    assert steps["import"] == CLI_BASE
     assert steps["exit"] == 0
-    assert steps["lattice"] == sorted([*base, "kgcontinuum.corpus"])
+    assert steps["command"] == sorted([*CLI_BASE, "kgcontinuum.corpus"])
+
+
+@pytest.mark.parametrize(
+    "command,modules",
+    [
+        (["lattice", "--context", "{context}"], []),
+        (["legend", "--context", "{context}"], ["kgcontinuum.render"]),
+        (["fit", "--context", "{context}", "--kg", "g", "--require", "{requirement}"], ["kgcontinuum.profiles"]),
+    ],
+    ids=["lattice", "legend", "fit"],
+)
+def test_cli_commands_load_no_dataclass_machinery(tmp_path, command, modules):
+    files = {"context": tmp_path / "context.json", "requirement": tmp_path / "requirement.json"}
+    files["context"].write_text(
+        json.dumps({"dimension": "semantic-property", "objects": ["g", "h"], "attributes": ["a", "b"], "incidence": [[1, 0], [1, 1]]})
+    )
+    files["requirement"].write_text(json.dumps({"community": "c", "task": "t", "required": {"semantic-property": ["a", "b"]}}))
+    steps = _probe(CLI_PROBE, *(arg.format_map(files) for arg in command))
+    assert steps["import"] == CLI_BASE
+    assert steps["exit"] == 0
+    assert steps["command"] == sorted([*CLI_BASE, *modules])
+    # the value classes are plain classes, so neither the dataclass machinery nor what it imports
+    # loads. Only the corpus commands are left out: importlib.resources imports inspect on Python 3.12+
+    assert {"dataclasses", "inspect"}.isdisjoint(steps["added"])
