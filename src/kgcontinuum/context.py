@@ -276,7 +276,7 @@ def parse_cxt(text: str, dimension: Dimension = Dimension.COMBINED) -> FormalCon
     object names, attribute names, then one row of ``X``/``.`` per object.
     The format carries no dimension; it is supplied out of band.
     """
-    lines = text.split("\n")
+    lines = _typed(text, str, "a CXT document must be a string").split("\n")
     if len(lines) > 1 and lines[-1] == "":
         lines.pop()  # a final newline ends the last line, it does not open a new one
 
@@ -368,6 +368,7 @@ def json_object(text: str, required: Iterable[str] = (), allowed: Iterable[str] 
     strings holding a lone surrogate raise InputError("invalid-json"); a
     wrong shape raises "schema-violation".
     """
+    _typed(text, str, "a JSON document must be a string")
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
         if "\\u" in text:  # only a \u escape puts a lone surrogate, which no output can encode, into a string

@@ -8,10 +8,9 @@ reproduce the published tables bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import os
 from collections.abc import Mapping
-from importlib import resources
 from types import MappingProxyType
 
 from .context import (
@@ -28,6 +27,16 @@ from .context import (
 )
 from .errors import InputError, IntegrityError
 from .fca import FormalConcept, enumerate_concepts
+
+# the interpreter's builtin SHA-256, which binds no OpenSSL; hashlib, which does, only for a
+# build configured without the builtin hashes. All three give the same digest
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 #: The ten case-study knowledge graphs, in declaration order.
 KG_NAMES = (
@@ -50,7 +59,7 @@ _ATTRIBUTE_COUNTS = {
     Dimension.PRAGMATIC_AFFORDANCE: 11,
 }
 
-_RESOURCE = "data/provenance_corpus.json"
+_PAYLOAD = os.path.join(os.path.dirname(__file__), "data", "provenance_corpus.json")
 
 
 class ProvenanceCorpus(_Frozen):
@@ -74,7 +83,15 @@ class ProvenanceCorpus(_Frozen):
 def payload_checksum(payload: dict) -> str:
     """SHA-256 over the canonical JSON form of {"contexts", "golden"}."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _read_payload() -> bytes:
+    """The embedded payload's bytes, read by the loader that imported this module.
+
+    The loader reads from a directory, an installed wheel or a zip archive alike.
+    """
+    return __loader__.get_data(_PAYLOAD)
 
 
 def _corrupt(detail: str) -> IntegrityError:
@@ -84,8 +101,7 @@ def _corrupt(detail: str) -> IntegrityError:
 def load_corpus() -> ProvenanceCorpus:
     """Load and checksum the embedded corpus; every flaw in it raises IntegrityError("corpus-corrupt")."""
     try:
-        text = resources.files(__package__).joinpath(_RESOURCE).read_text("utf-8")
-        doc = json_object(text, ("contexts", "golden", "checksum"))
+        doc = json_object(_read_payload().decode("utf-8"), ("contexts", "golden", "checksum"))
         if doc["checksum"] != payload_checksum({"contexts": doc["contexts"], "golden": doc["golden"]}):
             raise _corrupt("embedded corpus failed its transcription checksum")
         contexts: dict[Dimension, FormalContext] = {}

@@ -311,6 +311,9 @@ def fitness_json(report: FitnessReport, *, kg: str, requirement: RequirementSet,
 
 def delta_json(delta: Mapping[Dimension, FeatureDelta], *, source: str, target: str) -> dict:
     """JSON-ready dict of a transformation delta."""
+    for d, change in _typed(delta, Mapping, "a delta must be a mapping").items():
+        _typed(d, Dimension, "delta keys must be Dimension members")
+        _typed(change, FeatureDelta, "delta values must be FeatureDelta values")
     return {
         "source": source,
         "target": target,

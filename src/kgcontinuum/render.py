@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .context import _Frozen, _set_field, _typed
+from .context import _collection, _Frozen, _set_field, _typed
 from .errors import InputError
 from .fca import ConceptLattice
 
@@ -18,7 +18,7 @@ class Legend(_Frozen):
     rows: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
     def __init__(self, rows: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]) -> None:
-        _set_field(self, "rows", rows)
+        _set_field(self, "rows", _collection(rows, "legend rows"))
 
     def to_markdown(self) -> str:
         lines = ["| ID | Objects | Attributes |", "| --- | --- | --- |"]

@@ -1,6 +1,10 @@
 """Embedded corpus integrity, golden reproduction, and tamper detection."""
 
 import json
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,10 @@ ATTRIBUTE_COUNTS = {
 }
 
 
+def _shipped_doc():
+    return json.loads(corpus_module._read_payload().decode("utf-8"))
+
+
 def test_corpus_shape():
     c = corpus()
     assert set(c.contexts) == set(ATTRIBUTE_COUNTS)
@@ -48,8 +56,7 @@ def test_corpus_shape():
 
 
 def test_transcription_checksum_frozen():
-    raw = corpus_module.resources.files("kgcontinuum").joinpath(corpus_module._RESOURCE).read_text("utf-8")
-    doc = json.loads(raw)
+    doc = _shipped_doc()
     assert doc["checksum"] == EXPECTED_CHECKSUM
     assert corpus_module.payload_checksum({"contexts": doc["contexts"], "golden": doc["golden"]}) == EXPECTED_CHECKSUM
 
@@ -95,29 +102,23 @@ def test_verify_detects_fabricated_golden_row():
     assert [f.code for f in report.errors] == ["stale-golden-concept"]
 
 
-class _FakeResource:
-    def __init__(self, text):
-        self.text = text
-
-    def joinpath(self, *_):
-        return self
-
-    def read_text(self, encoding="utf-8", *_args, **_kwargs):
-        return self.text.decode(encoding) if isinstance(self.text, bytes) else self.text
+def _serve(monkeypatch, payload):
+    """Make load_corpus read payload, text or bytes, in place of the shipped file."""
+    data = payload if isinstance(payload, bytes) else payload.encode("utf-8")
+    monkeypatch.setattr(corpus_module, "_read_payload", lambda: data)
 
 
 def test_load_corpus_detects_tampered_payload(monkeypatch):
-    raw = corpus_module.resources.files("kgcontinuum").joinpath(corpus_module._RESOURCE).read_text("utf-8")
-    doc = json.loads(raw)
+    doc = _shipped_doc()
     doc["contexts"][0]["incidence"][0][0] ^= 1  # checksum now stale
-    monkeypatch.setattr(corpus_module.resources, "files", lambda _: _FakeResource(json.dumps(doc)))
+    _serve(monkeypatch, json.dumps(doc))
     with pytest.raises(IntegrityError) as err:
         load_corpus()
     assert err.value.code == "corpus-corrupt"
 
 
 def test_load_corpus_detects_unreadable_payload(monkeypatch):
-    monkeypatch.setattr(corpus_module.resources, "files", lambda _: _FakeResource("{nope"))
+    _serve(monkeypatch, "{nope")
     with pytest.raises(IntegrityError) as err:
         load_corpus()
     assert err.value.code == "corpus-corrupt"
@@ -135,10 +136,6 @@ def test_golden_concepts_are_actual_concepts():
             assert concept.extent == frozenset(
                 o for o in ctx.objects if concept.intent <= ctx.features_of(o)
             )
-
-
-def _shipped_doc():
-    return json.loads(corpus_module.resources.files("kgcontinuum").joinpath(corpus_module._RESOURCE).read_text("utf-8"))
 
 
 def _resealed(edit):
@@ -202,8 +199,7 @@ CORRUPT_PAYLOADS = [
 
 @pytest.mark.parametrize("payload,message", [row[1:] for row in CORRUPT_PAYLOADS], ids=[row[0] for row in CORRUPT_PAYLOADS])
 def test_load_corpus_reports_every_flaw_as_corpus_corrupt(monkeypatch, payload, message):
-    text = payload()
-    monkeypatch.setattr(corpus_module.resources, "files", lambda _: _FakeResource(text))
+    _serve(monkeypatch, payload())
     with pytest.raises(IntegrityError) as err:
         load_corpus()
     assert err.value.code == "corpus-corrupt"
@@ -212,7 +208,7 @@ def test_load_corpus_reports_every_flaw_as_corpus_corrupt(monkeypatch, payload, 
 
 def test_cli_exits_two_on_a_corrupt_payload(monkeypatch, capsys):
     text = _resealed(_duplicate_object)
-    monkeypatch.setattr(corpus_module.resources, "files", lambda _: _FakeResource(text))
+    _serve(monkeypatch, text)
     assert main(["lattice", "--corpus", "builtin", "--dimension", "combined"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -221,8 +217,45 @@ def test_cli_exits_two_on_a_corrupt_payload(monkeypatch, capsys):
 
 def test_cli_exits_two_on_a_payload_of_the_wrong_shape(monkeypatch, capsys):
     text = _resealed(lambda d: d["contexts"][0].pop("objects"))
-    monkeypatch.setattr(corpus_module.resources, "files", lambda _: _FakeResource(text))
+    _serve(monkeypatch, text)
     assert main(["corpus", "verify"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: corpus-corrupt: embedded corpus has the wrong shape: KeyError: 'objects'\n"
+
+
+def test_zip_import_reads_the_payload_through_the_zip(tmp_path):
+    package = Path(corpus_module.__file__).parent
+    archive = tmp_path / "kgcontinuum.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent).as_posix())
+    # prints where the CLI was imported from, then runs the command in sys.argv[1:]
+    script = "import sys, kgcontinuum.cli as cli; print(cli.__file__, file=sys.stderr); cli.entrypoint()"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "corpus", "verify"],
+        capture_output=True, text=True, cwd=tmp_path, env={"PYTHONPATH": str(archive)}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{archive / 'kgcontinuum' / 'cli.py'}\n"
+    assert json.loads(proc.stdout) == {"errors": [], "warnings": []}
+
+
+# hides both builtin SHA-256 modules, so corpus falls back to hashlib
+FALLBACK = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import kgcontinuum.corpus as corpus
+corpus.load_corpus()
+doc = json.loads(corpus._read_payload().decode("utf-8"))
+checksum = corpus.payload_checksum({"contexts": doc["contexts"], "golden": doc["golden"]})
+print(json.dumps({"hashlib": corpus._sha256 is hashlib.sha256, "checksum": checksum}))
+"""
+
+
+def test_checksum_falls_back_to_hashlib_without_the_builtin_hashes():
+    src = str(Path(corpus_module.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", FALLBACK], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"hashlib": True, "checksum": EXPECTED_CHECKSUM}

@@ -19,6 +19,7 @@ from kgcontinuum import (
     Implication,
     InputError,
     KgProfile,
+    Legend,
     RequirementSet,
     assign_layers,
     attribute_frequency,
@@ -27,6 +28,7 @@ from kgcontinuum import (
     close_under_implications,
     common_position,
     cost_model_from_json,
+    delta_json,
     derive_attributes,
     derive_objects,
     enumerate_concepts,
@@ -368,6 +370,13 @@ WRONG_TYPES = [
     ("RequirementSet-task", lambda: RequirementSet("c", None, {}), "NoneType"),
     ("CostModel-overrides", lambda: CostModel(overrides=[1]), "list"),
     ("requirement-required", lambda: requirement_from_json('{"community": "c", "task": "t", "required": []}'), "list"),
+    ("delta_json-key", lambda: delta_json({1: 2}, source="a", target="b"), "int"),
+    ("delta_json-value", lambda: delta_json({SP: 2}, source="a", target="b"), "int"),
+    # the text readers take str; bytes, which json.loads would decode, are no exception
+    ("parse_cxt-text", lambda: parse_cxt(5), "int"),
+    ("parse_json_context-text", lambda: parse_json_context(None), "NoneType"),
+    ("requirement_from_json-text", lambda: requirement_from_json(5), "int"),
+    ("cost_model_from_json-text", lambda: cost_model_from_json(b"{}"), "bytes"),
 ]
 
 
@@ -415,6 +424,8 @@ VALUE_ARGUMENTS = [
     ("fitness_json-requirement", lambda v: fitness_json(REPORT, kg="x", requirement=v)),
     ("transformation_delta-source", lambda v: transformation_delta(v, PROFILE)),
     ("transformation_delta-target", lambda v: transformation_delta(PROFILE, v)),
+    ("delta_json", lambda v: delta_json(v, source="a", target="b")),
+    ("Legend", Legend),
 ]
 OPTIONAL_VALUE_ARGUMENTS = [
     ("evaluate_fitness-registry", lambda v: evaluate_fitness(PROFILE, REQUIREMENT, v)),

@@ -1,6 +1,7 @@
 """The package namespace: lazy exports, __all__, and which submodules a call loads."""
 
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -154,11 +155,22 @@ def test_bare_import_loads_no_submodule_until_one_is_read():
     assert steps["after-fca"] == ["kgcontinuum", "kgcontinuum.context", "kgcontinuum.errors", "kgcontinuum.fca"]
 
 
-def test_cli_loads_only_what_its_command_uses():
-    steps = _probe(CLI_PROBE, "lattice", "--corpus", "builtin", "--dimension", "combined")
+# corpus falls back to hashlib, and so to OpenSSL's _hashlib, only where the interpreter has no builtin SHA-256
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+@pytest.mark.parametrize(
+    "command", [["lattice", "--corpus", "builtin", "--dimension", "combined"], ["corpus", "verify"]], ids=["lattice", "verify"]
+)
+def test_cli_loads_only_what_its_command_uses(command):
+    steps = _probe(CLI_PROBE, *command)
     assert steps["import"] == CLI_BASE
     assert steps["exit"] == 0
     assert steps["command"] == sorted([*CLI_BASE, "kgcontinuum.corpus"])
+    # the checksum uses the builtin SHA-256 and the payload is read by the module's own loader;
+    # importlib.resources would import inspect on Python 3.12 and later
+    unwanted = {"importlib.resources", "inspect"} | ({"_hashlib"} if BUILTIN_SHA256 else set())
+    assert unwanted.isdisjoint(steps["added"])
 
 
 @pytest.mark.parametrize(
@@ -180,6 +192,5 @@ def test_cli_commands_load_no_dataclass_machinery(tmp_path, command, modules):
     assert steps["import"] == CLI_BASE
     assert steps["exit"] == 0
     assert steps["command"] == sorted([*CLI_BASE, *modules])
-    # the value classes are plain classes, so neither the dataclass machinery nor what it imports
-    # loads. Only the corpus commands are left out: importlib.resources imports inspect on Python 3.12+
+    # the value classes are plain classes, so neither the dataclass machinery nor what it imports loads
     assert {"dataclasses", "inspect"}.isdisjoint(steps["added"])

@@ -582,10 +582,16 @@ def stray_profile():
         lambda: transformation_delta(stray_profile(), RequirementSet("c", "t", {})),
         lambda: transformation_delta(KgProfile("kg", {}), stray_profile()),
         lambda: fitness_json(FitnessReport(STRAY, {}, {}, True), kg="kg", requirement=RequirementSet("c", "t", {})),
-        lambda: delta_json({d: FeatureDelta(fs, frozenset()) for d, fs in STRAY.items()}, source="s", target="t"),
     ],
-    ids=["evaluate_fitness", "delta-to-requirement", "delta-to-profile", "fitness_json", "delta_json"],
+    ids=["evaluate_fitness", "delta-to-requirement", "delta-to-profile", "fitness_json"],
 )
 def test_non_dimension_key_raises(call):
     with pytest.raises(KeyError):
         call()
+
+
+def test_delta_json_checks_its_keys():
+    # a delta is a plain mapping, which no constructor checked, so delta_json checks it itself
+    with pytest.raises(InputError) as err:
+        delta_json({d: FeatureDelta(fs, frozenset()) for d, fs in STRAY.items()}, source="s", target="t")
+    assert (err.value.code, err.value.message) == ("schema-violation", "delta keys must be Dimension members, not str")
