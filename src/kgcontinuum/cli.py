@@ -8,6 +8,7 @@ stderr. Setting the CONTINUUM_NO_COLOR environment variable disables stderr styl
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections.abc import Sequence
@@ -325,4 +326,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.stdout.reconfigure(encoding="utf-8")  # the same bytes as --out, whatever the locale
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()  # the process ends next: shutdown's collections then skip every object the command built
+    raise SystemExit(code)

@@ -297,14 +297,16 @@ def lattice_json(lattice: ConceptLattice) -> dict:
     """JSON-ready dict: concepts with canonical ids, cover pairs, top and bottom.
 
     Ids are canonical-order labels c0, c1, ... and extent/intent lists follow
-    declaration order, so the output is deterministic.
+    declaration order, so the output is deterministic. Each id is one string
+    object, shared by its concept, every cover pair it ends and top or bottom.
     """
     _typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice")
+    ids = [f"c{i}" for i in range(len(lattice.masks))]
     return {
-        "concepts": [{"id": f"c{i}", "extent": list(objs), "intent": list(attrs)} for i, (objs, attrs) in enumerate(lattice.names)],
-        "covers": [[f"c{lo}", f"c{up}"] for lo, ups in enumerate(lattice.upper_covers) for up in ups],
-        "top": f"c{lattice.top_index}",
-        "bottom": f"c{lattice.bottom_index}",
+        "concepts": [{"id": i, "extent": list(objs), "intent": list(attrs)} for i, (objs, attrs) in zip(ids, lattice.names)],
+        "covers": [[lo, ids[up]] for lo, ups in zip(ids, lattice.upper_covers) for up in ups],
+        "top": ids[lattice.top_index],
+        "bottom": ids[lattice.bottom_index],
     }
 
 

@@ -103,12 +103,26 @@ class FitnessReport(_Frozen):
 
 
 class FeatureDelta(_Frozen):
+    """Features to add and to remove in one dimension.
+
+    The constructor normalizes every feature name, as KgProfile's does;
+    transformation_delta skips it because profile and requirement names are
+    normalized already.
+    """
+
     add: frozenset[str]
     remove: frozenset[str]
 
-    def __init__(self, add: frozenset[str], remove: frozenset[str]) -> None:
-        _set_field(self, "add", add)
-        _set_field(self, "remove", remove)
+    def __init__(self, add: Iterable[str], remove: Iterable[str]) -> None:
+        _set_field(self, "add", frozenset(map(normalize_name, _collection(add, "added features"))))
+        _set_field(self, "remove", frozenset(map(normalize_name, _collection(remove, "removed features"))))
+
+
+def _delta(add: frozenset[str], remove: frozenset[str]) -> FeatureDelta:
+    delta = object.__new__(FeatureDelta)  # skips __init__, which would normalize every feature again
+    _set_field(delta, "add", add)
+    _set_field(delta, "remove", remove)
+    return delta
 
 
 def _weight(value: float) -> float:
@@ -266,7 +280,7 @@ def transformation_delta(
         _check_registered("source", source.features, registry)
         _check_registered("target", wanted, registry)
     return MappingProxyType({
-        dim: FeatureDelta(want - have, have - want if removing else frozenset())
+        dim: _delta(want - have, have - want if removing else frozenset())
         for dim, have, want in _sides(source.features, wanted)
     })
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import chain
 
 from .context import _collection, _Frozen, _set_field, _typed
@@ -12,19 +13,35 @@ from .fca import ConceptLattice
 EMPTY_MARK = "---"
 
 
+def _legend_names(names: Iterable[str]) -> tuple[str, ...]:
+    return tuple(_typed(name, str, "legend names must be strings") for name in _collection(names, "legend names"))
+
+
+def _legend_row(row: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    sides = _collection(row, "a legend row")
+    if len(sides) != 2:
+        raise InputError("schema-violation", f"a legend row must be an (objects, attributes) pair, not {len(sides)} items")
+    return _legend_names(sides[0]), _legend_names(sides[1])
+
+
 class Legend(_Frozen):
-    """One (objects, attributes) row per concept, in canonical order: row i is concept c{i}."""
+    """One (objects, attributes) row per concept, in canonical order: row i is concept c{i}.
+
+    The constructor checks that every row is a pair of collections of string
+    names; legend() skips it because a lattice's names are checked already.
+    """
 
     rows: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
-    def __init__(self, rows: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]) -> None:
-        _set_field(self, "rows", _collection(rows, "legend rows"))
+    def __init__(self, rows: Iterable[tuple[Iterable[str], Iterable[str]]]) -> None:
+        _set_field(self, "rows", tuple(map(_legend_row, _collection(rows, "legend rows"))))
 
     def to_markdown(self) -> str:
         lines = ["| ID | Objects | Attributes |", "| --- | --- | --- |"]
         for i, (objects, attributes) in enumerate(self.rows):
-            cells = [f"c{i}", ", ".join(objects) or EMPTY_MARK, ", ".join(attributes) or EMPTY_MARK]
-            lines.append("| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |")
+            # a c<digits> id holds no "|", so only the name cells are escaped
+            cells = (", ".join(objects) or EMPTY_MARK, ", ".join(attributes) or EMPTY_MARK)
+            lines.append(f"| c{i} | " + " | ".join(c.replace("|", "\\|") for c in cells) + " |")
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
@@ -41,7 +58,9 @@ class Legend(_Frozen):
 
 def legend(lattice: ConceptLattice) -> Legend:
     """Tabulate every concept; names are listed in declaration order."""
-    return Legend(_typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice").names)
+    table = object.__new__(Legend)  # skips __init__, which would check every name of every concept again
+    _set_field(table, "rows", _typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice").names)
+    return table
 
 
 def assign_layers(lattice: ConceptLattice) -> tuple[int, ...]:
@@ -75,8 +94,9 @@ def to_dot(lattice: ConceptLattice, labels: str = "id-only") -> str:
         raise InputError("unknown-label-mode", f"labels must be 'id-only' or 'id+intent', got {labels!r}")
     layers = assign_layers(lattice)
     lines = ["digraph lattice {", "  rankdir=TB;", "  node [shape=box];"]
+    # a c<digits> id holds no quote or backslash, so only intents go through _quote
     for i in range(len(lattice.masks)):
-        label = _quote(f"c{i}")
+        label = f"c{i}"
         if labels == "id+intent":
             intent = ", ".join(lattice.names[i][1]) or EMPTY_MARK
             label = f"{label}\\n{_quote(intent)}"

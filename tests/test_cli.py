@@ -548,6 +548,48 @@ def test_help_exits_zero():
     assert exit_info.value.code == 0
 
 
+# --- process exit ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["lattice", "--corpus", "builtin", "--dimension", "pragmatic-property"], 0),
+        (["lattice", "--corpus", "builtin"], 1),
+        (["corpus", "verify"], 2),
+    ],
+    ids=["ok", "input-error", "golden-mismatch"],
+)
+def test_entrypoint_freezes_the_heap_once_after_writing(capsys, monkeypatch, argv, want):
+    report = ValidationReport(errors=(Finding("missing-golden-concept", "synthetic", "pragmatic-property"),))
+    monkeypatch.setattr(corpus_module, "verify_corpus", lambda _: report)
+    expected = run(capsys, *argv)
+    # the recorder stands in for gc.freeze, so the test process keeps a normal collector
+    seen = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: seen.append(capsys.readouterr()))
+    monkeypatch.setattr(sys, "argv", ["kgcontinuum", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entrypoint()
+    assert exit_info.value.code == expected[0] == want
+    assert [(c.out, c.err) for c in seen] == [expected[1:]]  # once, with everything already written
+    assert capsys.readouterr() == ("", "")
+
+
+def test_console_exit_runs_with_a_frozen_heap():
+    probe = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "sys.argv = ['kgcontinuum', 'lattice', '--corpus', 'builtin', '--dimension', 'combined']\n"
+        "from kgcontinuum.cli import entrypoint\n"
+        "entrypoint()\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == "True\n"
+    assert json.loads(proc.stdout)["top"].startswith("c")
+
+
 # --- diagnostics styling ---------------------------------------------------------
 
 

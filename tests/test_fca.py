@@ -424,6 +424,24 @@ def test_lattice_json_shape():
         assert c["intent"] == [a for a in ctx.attributes if a in set(c["intent"])]
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    [*corpus().contexts.values(), seeded_context(1, 40, 12, 0.45), seeded_context(3, 60, 15, 0.3)],
+    ids=[*(d.value for d in corpus().contexts), "seeded-40x12", "seeded-60x15"],
+)
+def test_lattice_json_shares_one_id_string_per_concept(ctx):
+    # the bytes are guarded by the oracle test and the golden digests; this pins the sharing
+    lattice = build_lattice(ctx)
+    doc = lattice_json(lattice)
+    concepts = doc["concepts"]
+    pairs = [(lo, up) for lo, ups in enumerate(lattice.upper_covers) for up in ups]
+    assert pairs and len(doc["covers"]) == len(pairs)
+    for (lo, up), cover in zip(pairs, doc["covers"]):
+        assert cover[0] is concepts[lo]["id"] and cover[1] is concepts[up]["id"]
+    assert doc["top"] is concepts[-1]["id"] and doc["bottom"] is concepts[0]["id"]
+    assert len({id(c["id"]) for c in concepts}) == len(concepts)
+
+
 # --- implications ----------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from kgcontinuum import (
     PER_DIMENSION,
     CostModel,
     Dimension,
+    FeatureDelta,
     FeatureRegistry,
     FormalContext,
     Implication,
@@ -211,6 +212,19 @@ def test_parse_cxt_matches_the_character_loop_parser(text):
 # library callers build the value types directly, with no parser in front
 feature_maps = st.dictionaries(st.sampled_from(Dimension), st.lists(names, max_size=3), max_size=3)
 registry_entries = st.builds(RegistryEntry, st.sampled_from(["a", "b", " a "]), st.sampled_from(Dimension), st.none() | st.just("g"))
+
+
+def delta_of_one_dimension(add, remove):
+    """A FeatureDelta, as delta_json writes it."""
+    return delta_json({Dimension.SEMANTIC_PROPERTY: FeatureDelta(add, remove)}, source="s", target="t")
+
+
+def rendered_legend(rows):
+    """A Legend, in both of its formats."""
+    table = Legend(rows)
+    return table.to_markdown(), table.to_csv()
+
+
 # each constructor with a well-typed strategy per field
 CONSTRUCTORS = [
     (FormalContext, [
@@ -231,6 +245,8 @@ CONSTRUCTORS = [
         st.none() | st.lists(names, max_size=3),
     ]),
     (Implication, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
+    (delta_of_one_dimension, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
+    (rendered_legend, [st.lists(st.tuples(st.lists(names, max_size=3), st.lists(names, max_size=3)), max_size=3)]),
 ]
 
 
@@ -338,6 +354,9 @@ REJECTED = [
     ("singleton_features-number", lambda: singleton_features(5), "schema-violation"),
     ("Implication-string", lambda: Implication("ab", "c"), "schema-violation"),
     ("Implication-number", lambda: Implication(1, 2), "schema-violation"),
+    ("FeatureDelta-string", lambda: FeatureDelta("ab", ()), "schema-violation"),
+    ("Legend-row-of-three", lambda: Legend([((), (), ())]), "schema-violation"),
+    ("Legend-string-side", lambda: Legend([("ab", ())]), "schema-violation"),
     ("RegistryEntry-empty-introduced-by", lambda: RegistryEntry("x", SP, "  "), "empty-name"),
     ("register_feature-empty-introduced-by", lambda: register_feature(FeatureRegistry(), "x", SP, introduced_by="  "), "empty-name"),
 ]
@@ -372,6 +391,11 @@ WRONG_TYPES = [
     ("requirement-required", lambda: requirement_from_json('{"community": "c", "task": "t", "required": []}'), "list"),
     ("delta_json-key", lambda: delta_json({1: 2}, source="a", target="b"), "int"),
     ("delta_json-value", lambda: delta_json({SP: 2}, source="a", target="b"), "int"),
+    ("FeatureDelta-sides", lambda: delta_json({SP: FeatureDelta(5, 6)}, source="a", target="b"), "int"),
+    ("FeatureDelta-name", lambda: FeatureDelta([], [None]), "NoneType"),
+    ("Legend-row", lambda: Legend([5]).to_markdown(), "int"),
+    ("Legend-side", lambda: Legend([(1, 2)]).to_csv(), "int"),
+    ("Legend-name", lambda: Legend([(["g"], [b"m"])]), "bytes"),
     # the text readers take str; bytes, which json.loads would decode, are no exception
     ("parse_cxt-text", lambda: parse_cxt(5), "int"),
     ("parse_json_context-text", lambda: parse_json_context(None), "NoneType"),

@@ -499,6 +499,14 @@ def test_value_types_reject_fields_of_the_wrong_type(build):
     assert err.value.code == "schema-violation"
 
 
+def test_hand_built_delta_normalizes_like_transformation_delta():
+    delta = FeatureDelta([" SHACL ", "OWL  DL reasoning"], ("x",))
+    assert delta == FeatureDelta(frozenset({"SHACL", "OWL DL reasoning"}), frozenset({"x"}))
+    assert type(delta.add) is frozenset and type(delta.remove) is frozenset
+    source = KgProfile("kg", {SP: ["x"]})
+    assert transformation_delta(source, KgProfile("other", {SP: ["SHACL", " OWL DL  reasoning"]}))[SP] == delta
+
+
 def test_fitness_json_shape():
     req = reasoning_requirement()
     report = evaluate_fitness(corpus_profile("Wikidata"), req)

@@ -7,6 +7,7 @@ from kgcontinuum import (
     Dimension,
     FormalContext,
     InputError,
+    Legend,
     assign_layers,
     build_lattice,
     join,
@@ -113,6 +114,15 @@ def test_legend_csv_quotes_commas():
     lines = legend(build_lattice(ctx)).to_csv().splitlines()
     # concepts: (empty, {m}) then ({g, one}, empty)
     assert lines[2] == 'c1,"g, one",---'
+
+
+def test_hand_built_legend_equals_the_lattice_legend_and_escapes_only_names():
+    lattice = prag_prop_lattice()
+    # rows of lists become rows of two tuples, as legend() holds them
+    rows = [[list(objects), list(attributes)] for objects, attributes in lattice.names]
+    assert Legend(rows) == legend(lattice) and Legend(rows).rows == lattice.names
+    table = Legend([(["a|b"], [])])
+    assert table.to_markdown().splitlines()[2] == "| c0 | a\\|b | --- |"
 
 
 # --- layers -------------------------------------------------------------------
