@@ -46,6 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fail(message: str) -> None:
+    if sys.stderr is None:  # the process started with stderr closed
+        return
     prefix = "error:"
     if sys.stderr.isatty() and not os.environ.get("CONTINUUM_NO_COLOR"):
         prefix = "\x1b[31merror:\x1b[0m"
@@ -55,6 +57,8 @@ def _fail(message: str) -> None:
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         Path(args.out).write_bytes(text.encode("utf-8"))  # encode before opening: no partial file
+    elif sys.stdout is None:  # the process started with stdout closed
+        raise InputError("closed-stdout", "standard output is closed; use --out")
     else:
         sys.stdout.write(text)
 
@@ -325,7 +329,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.stdout.reconfigure(encoding="utf-8")  # the same bytes as --out, whatever the locale
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(encoding="utf-8")  # the same bytes as --out, whatever the locale
     code = main()
     gc.freeze()  # the process ends next: shutdown's collections then skip every object the command built
     raise SystemExit(code)

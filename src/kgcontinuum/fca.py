@@ -41,8 +41,6 @@ class Implication(_Frozen):
 
 def _name_set(names: Iterable[str], what: str) -> frozenset[str]:
     """names as a frozenset; anything but a collection of hashable names raises InputError("schema-violation")."""
-    if type(names) is frozenset:  # as implication_basis builds every side, tens of thousands per context
-        return names
     try:
         return frozenset(_collection(names, what))
     except TypeError:  # an unhashable name
@@ -193,12 +191,20 @@ def enumerate_concepts(ctx: FormalContext) -> tuple[FormalConcept, ...]:
 # --- lattice --------------------------------------------------------------
 
 
+def _int_in(value, low: int, high: int) -> bool:
+    """Whether value is an int in low..high-1."""
+    return isinstance(value, int) and low <= value < high
+
+
 class ConceptLattice(_Frozen):
     """Concepts in canonical order, as (extent, intent) bitmask pairs, and their upper covers.
 
     upper_covers[i] lists concept i's upper covers in increasing order. concepts,
     covers ((lower, upper) pairs) and names (in declaration order) derive from
     these on first use. By extent size, the bottom comes first and the top last.
+
+    The constructor checks the structure, not that each pair is a concept;
+    build_lattice builds with _of.
     """
 
     context: FormalContext
@@ -209,6 +215,20 @@ class ConceptLattice(_Frozen):
     def __init__(
         self, context: FormalContext, masks: tuple[tuple[int, int], ...], upper_covers: tuple[tuple[int, ...], ...]
     ) -> None:
+        extents = 1 << len(_typed(context, FormalContext, "a context must be a FormalContext").objects)
+        intents = 1 << len(context.attributes)
+        if not (
+            isinstance(masks, tuple)
+            and masks
+            and all(isinstance(p, tuple) and len(p) == 2 and _int_in(p[0], 0, extents) and _int_in(p[1], 0, intents) for p in masks)
+        ):
+            raise InputError("schema-violation", "masks must be a non-empty tuple of (extent, intent) int pairs within the context")
+        if not (
+            isinstance(upper_covers, tuple)
+            and len(upper_covers) == len(masks)
+            and all(isinstance(ups, tuple) and all(_int_in(up, i + 1, len(masks)) for up in ups) for i, ups in enumerate(upper_covers))
+        ):
+            raise InputError("schema-violation", "upper_covers must hold a tuple per concept of indices of later concepts")
         _set_field(self, "context", context)
         _set_field(self, "masks", masks)
         _set_field(self, "upper_covers", upper_covers)
@@ -243,7 +263,7 @@ class ConceptLattice(_Frozen):
             raise InputError("unknown-extent", f"no concept has extent {sorted(names, key=str)}") from None
 
     def _concept_at(self, index: int) -> tuple[int, int]:
-        if not (isinstance(index, int) and 0 <= index < len(self.masks)):
+        if not _int_in(index, 0, len(self.masks)):
             raise InputError("index-out-of-range", f"concept index {index!r} out of range 0..{len(self.masks) - 1}")
         return self.masks[index]
 
@@ -275,7 +295,7 @@ def build_lattice(ctx: FormalContext) -> ConceptLattice:
                 ups[lo].append(up)
             else:
                 minimal ^= bit
-    lattice = ConceptLattice(ctx, tuple(pairs), tuple(map(tuple, ups)))
+    lattice = ConceptLattice._of(ctx, tuple(pairs), tuple(map(tuple, ups)))
     lattice.__dict__["_index_by_extent"] = index_of  # the cached property, built once
     return lattice
 
@@ -458,4 +478,4 @@ def implication_basis(ctx: FormalContext) -> tuple[Implication, ...]:
         if closed != mask:
             index.add(mask, closed)
         mask = index.successor(mask)
-    return tuple(Implication(_attr_names(ctx, p), _attr_names(ctx, c & ~p)) for p, c in index.found)
+    return tuple(Implication._of(_attr_names(ctx, p), _attr_names(ctx, c & ~p)) for p, c in index.found)

@@ -52,8 +52,8 @@ class KgProfile(_Frozen):
     """Feature sets one knowledge graph exhibits, keyed by dimension.
 
     The constructor normalizes the KG name and every feature name, so a
-    hand-built profile compares with context and registry names;
-    profile_of skips it because context names are normalized already.
+    hand-built profile compares with context and registry names; profile_of
+    builds with _of.
     """
 
     kg: str
@@ -81,7 +81,8 @@ class FitnessReport(_Frozen):
     """Per-dimension split of required versus exhibited features.
 
     fit is true exactly when every gap set is empty; an empty requirement is
-    trivially fit.
+    trivially fit. The constructor checks and normalizes the three maps as
+    KgProfile's does; evaluate_fitness builds with _of.
     """
 
     satisfied: Mapping[Dimension, frozenset[str]]
@@ -96,18 +97,17 @@ class FitnessReport(_Frozen):
         surplus: Mapping[Dimension, frozenset[str]],
         fit: bool,
     ) -> None:
-        _set_field(self, "satisfied", satisfied)
-        _set_field(self, "gap", gap)
-        _set_field(self, "surplus", surplus)
-        _set_field(self, "fit", fit)
+        _set_field(self, "satisfied", _freeze(satisfied))
+        _set_field(self, "gap", _freeze(gap))
+        _set_field(self, "surplus", _freeze(surplus))
+        _set_field(self, "fit", _typed(fit, bool, "fit must be a bool"))
 
 
 class FeatureDelta(_Frozen):
     """Features to add and to remove in one dimension.
 
     The constructor normalizes every feature name, as KgProfile's does;
-    transformation_delta skips it because profile and requirement names are
-    normalized already.
+    transformation_delta builds with _of.
     """
 
     add: frozenset[str]
@@ -116,13 +116,6 @@ class FeatureDelta(_Frozen):
     def __init__(self, add: Iterable[str], remove: Iterable[str]) -> None:
         _set_field(self, "add", frozenset(map(normalize_name, _collection(add, "added features"))))
         _set_field(self, "remove", frozenset(map(normalize_name, _collection(remove, "removed features"))))
-
-
-def _delta(add: frozenset[str], remove: frozenset[str]) -> FeatureDelta:
-    delta = object.__new__(FeatureDelta)  # skips __init__, which would normalize every feature again
-    _set_field(delta, "add", add)
-    _set_field(delta, "remove", remove)
-    return delta
 
 
 def _weight(value: float) -> float:
@@ -183,10 +176,7 @@ def profile_of(contexts: Iterable[FormalContext], kg: str) -> KgProfile:
         features[dim] = features[dim] | exhibited if dim in features else exhibited
     if not features:
         raise InputError("missing-input", "no contexts supplied")
-    profile = object.__new__(KgProfile)  # skips __init__, which would normalize every feature again
-    _set_field(profile, "kg", name)
-    _set_field(profile, "features", MappingProxyType({d: features[d] for d in _dimensions(features)}))
-    return profile
+    return KgProfile._of(name, MappingProxyType({d: features[d] for d in _dimensions(features)}))
 
 
 def _check_registered(role: str, features: Mapping[Dimension, frozenset[str]], registry: FeatureRegistry) -> None:
@@ -226,7 +216,7 @@ def evaluate_fitness(
         gap[dim] = required - exhibited
         surplus[dim] = exhibited - required
     fit = not any(gap.values())
-    return FitnessReport(MappingProxyType(satisfied), MappingProxyType(gap), MappingProxyType(surplus), fit)
+    return FitnessReport._of(MappingProxyType(satisfied), MappingProxyType(gap), MappingProxyType(surplus), fit)
 
 
 def gap_cost(report: FitnessReport, model: CostModel | None = None) -> float:
@@ -280,7 +270,7 @@ def transformation_delta(
         _check_registered("source", source.features, registry)
         _check_registered("target", wanted, registry)
     return MappingProxyType({
-        dim: _delta(want - have, have - want if removing else frozenset())
+        dim: FeatureDelta._of(want - have, have - want if removing else frozenset())
         for dim, have, want in _sides(source.features, wanted)
     })
 

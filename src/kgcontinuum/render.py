@@ -28,7 +28,7 @@ class Legend(_Frozen):
     """One (objects, attributes) row per concept, in canonical order: row i is concept c{i}.
 
     The constructor checks that every row is a pair of collections of string
-    names; legend() skips it because a lattice's names are checked already.
+    names; legend() builds with _of.
     """
 
     rows: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
@@ -58,9 +58,7 @@ class Legend(_Frozen):
 
 def legend(lattice: ConceptLattice) -> Legend:
     """Tabulate every concept; names are listed in declaration order."""
-    table = object.__new__(Legend)  # skips __init__, which would check every name of every concept again
-    _set_field(table, "rows", _typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice").names)
-    return table
+    return Legend._of(_typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice").names)
 
 
 def assign_layers(lattice: ConceptLattice) -> tuple[int, ...]:

@@ -252,6 +252,43 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path):
     assert "café".encode() in proc.stdout
 
 
+def closed_stream_process(fd, *argv):
+    """`python ARGV` in a new process started with file descriptor fd closed, as a shell's `fd>&-` starts it."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" "$@" {fd}>&-', sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        timeout=60,
+    )
+
+
+def test_closed_stdout_is_an_input_error_unless_out_is_given(tmp_path):
+    argv = ("lattice", "--corpus", "builtin", "--dimension", "combined")
+    proc = closed_stream_process(1, "-m", "kgcontinuum", *argv)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: closed-stdout: standard output is closed; use --out\n"  # one line, no Traceback
+    target = tmp_path / "lattice.json"
+    proc = closed_stream_process(1, "-m", "kgcontinuum", *argv, "--out", str(target))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert target.read_bytes() == cli_process(*argv).stdout
+
+
+# runs cli.entrypoint on argv[1:] and reports on stdout the code it exits with
+ENTRYPOINT = """from kgcontinuum.cli import entrypoint
+try:
+    entrypoint()
+except SystemExit as exit:
+    print(f"--- exit {exit.code}", flush=True)
+"""
+
+
+def test_closed_stderr_keeps_the_exit_code():
+    # without --dimension the command is an input error, whose message has nowhere to go
+    proc = closed_stream_process(2, "-c", ENTRYPOINT, "lattice", "--corpus", "builtin")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "--- exit 1\n", "")
+
+
 # runs each argv of the JSON list in argv[1] through main and ends its output with the exit code
 RUN_ALL = """import json, sys
 from kgcontinuum.cli import main

@@ -228,6 +228,16 @@ def test_parse_cxt_dimension_defaults_to_combined():
     assert tagged.dimension is Dimension.PRAGMATIC_PROPERTY
 
 
+def test_parse_cxt_checks_the_dimension_after_the_document():
+    # the constructor's message, raised once every line has been read, as the constructor raised it
+    with pytest.raises(InputError) as err:
+        parse_cxt("B\n\n1\n1\n\ng\nm\nX\n", "combined")
+    assert (err.value.code, err.value.message) == ("schema-violation", "dimension must be a Dimension, not str")
+    with pytest.raises(InputError) as err:
+        parse_cxt("B\n\n1\n1\n\ng\nm\nx\n", "combined")
+    assert (err.value.code, err.value.location) == ("invalid-row", "line 8")
+
+
 def test_parse_cxt_tolerates_trailing_blank_lines():
     ctx = parse_cxt("B\n\n1\n1\n\ng\nm\nX\n\n  \n")
     assert ctx.objects == ("g",)

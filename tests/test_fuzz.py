@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from kgcontinuum import (
     PER_DIMENSION,
+    ConceptLattice,
     CostModel,
     Dimension,
     FeatureDelta,
     FeatureRegistry,
+    FitnessReport,
     FormalContext,
     Implication,
     InputError,
@@ -225,6 +227,18 @@ def rendered_legend(rows):
     return table.to_markdown(), table.to_csv()
 
 
+def rendered_lattice(context, masks, upper_covers):
+    """A ConceptLattice, as lattice_json and to_dot write it."""
+    lattice = ConceptLattice(context, masks, upper_covers)
+    return lattice_json(lattice), to_dot(lattice, "id+intent")
+
+
+def priced_report(satisfied, gap, surplus, fit):
+    """A FitnessReport, priced by gap_cost and written by fitness_json."""
+    report = FitnessReport(satisfied, gap, surplus, fit)
+    return gap_cost(report), fitness_json(report, kg="kg", requirement=RequirementSet("c", "t", {}))
+
+
 # each constructor with a well-typed strategy per field
 CONSTRUCTORS = [
     (FormalContext, [
@@ -247,6 +261,13 @@ CONSTRUCTORS = [
     (Implication, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
     (delta_of_one_dimension, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
     (rendered_legend, [st.lists(st.tuples(st.lists(names, max_size=3), st.lists(names, max_size=3)), max_size=3)]),
+    # masks and indices around the bounds of contexts of up to 2 objects and 2 attributes
+    (rendered_lattice, [
+        contexts_strategy(max_objects=2, max_attributes=2),
+        st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), max_size=3).map(tuple),
+        st.lists(st.lists(st.integers(-1, 3), max_size=2).map(tuple), max_size=3).map(tuple),
+    ]),
+    (priced_report, [feature_maps, feature_maps, feature_maps, st.booleans()]),
 ]
 
 
@@ -357,6 +378,13 @@ REJECTED = [
     ("FeatureDelta-string", lambda: FeatureDelta("ab", ()), "schema-violation"),
     ("Legend-row-of-three", lambda: Legend([((), (), ())]), "schema-violation"),
     ("Legend-string-side", lambda: Legend([("ab", ())]), "schema-violation"),
+    ("ConceptLattice-no-concepts", lambda: lattice_json(ConceptLattice(CTX, (), ())), "schema-violation"),
+    ("ConceptLattice-missing-upper", lambda: lattice_json(ConceptLattice(CTX, ((1, 1),), ((5,),))), "schema-violation"),
+    ("ConceptLattice-missing-upper-dot", lambda: to_dot(ConceptLattice(CTX, ((1, 1),), ((5,),))), "schema-violation"),
+    ("ConceptLattice-string-masks", lambda: ConceptLattice(CTX, "xy", ()), "schema-violation"),
+    ("ConceptLattice-lower-upper", lambda: ConceptLattice(CTX, ((1, 1), (3, 0)), ((), (0,))), "schema-violation"),
+    ("ConceptLattice-wide-mask", lambda: ConceptLattice(CTX, ((1 << len(CTX.objects), 0),), ((),)), "schema-violation"),
+    ("FitnessReport-string-features", lambda: gap_cost(FitnessReport({}, {SP: "ab"}, {}, False)), "schema-violation"),
     ("RegistryEntry-empty-introduced-by", lambda: RegistryEntry("x", SP, "  "), "empty-name"),
     ("register_feature-empty-introduced-by", lambda: register_feature(FeatureRegistry(), "x", SP, introduced_by="  "), "empty-name"),
 ]
@@ -396,6 +424,9 @@ WRONG_TYPES = [
     ("Legend-row", lambda: Legend([5]).to_markdown(), "int"),
     ("Legend-side", lambda: Legend([(1, 2)]).to_csv(), "int"),
     ("Legend-name", lambda: Legend([(["g"], [b"m"])]), "bytes"),
+    ("ConceptLattice-context", lambda: ConceptLattice(5, ((1, 1),), ((),)), "int"),
+    ("FitnessReport-maps", lambda: FitnessReport(5, 6, 7, True), "int"),
+    ("FitnessReport-fit", lambda: FitnessReport({}, {}, {}, "yes"), "str"),
     # the text readers take str; bytes, which json.loads would decode, are no exception
     ("parse_cxt-text", lambda: parse_cxt(5), "int"),
     ("parse_json_context-text", lambda: parse_json_context(None), "NoneType"),

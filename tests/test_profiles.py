@@ -491,6 +491,7 @@ def test_cost_model_rejects_overrides_that_normalize_to_one_name(build):
     pytest.param(lambda: RequirementSet("c", "t", [(SP, ["x"])]), id="requirement-list-required"),
     pytest.param(lambda: KgProfile("kg", STRAY), id="profile-tag-key"),
     pytest.param(lambda: RequirementSet("c", "t", STRAY), id="requirement-tag-key"),
+    pytest.param(lambda: FitnessReport(STRAY, {}, {}, True), id="fitness-report-tag-key"),
     pytest.param(lambda: CostModel(overrides=[("a", 1)]), id="cost-model-list-overrides"),
 ])
 def test_value_types_reject_fields_of_the_wrong_type(build):
@@ -589,9 +590,8 @@ def stray_profile():
         lambda: evaluate_fitness(stray_profile(), RequirementSet("c", "t", {})),
         lambda: transformation_delta(stray_profile(), RequirementSet("c", "t", {})),
         lambda: transformation_delta(KgProfile("kg", {}), stray_profile()),
-        lambda: fitness_json(FitnessReport(STRAY, {}, {}, True), kg="kg", requirement=RequirementSet("c", "t", {})),
     ],
-    ids=["evaluate_fitness", "delta-to-requirement", "delta-to-profile", "fitness_json"],
+    ids=["evaluate_fitness", "delta-to-requirement", "delta-to-profile"],
 )
 def test_non_dimension_key_raises(call):
     with pytest.raises(KeyError):
