@@ -56,7 +56,11 @@ def _fail(message: str) -> None:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_bytes(text.encode("utf-8"))  # encode before opening: no partial file
+        data = text.encode("utf-8")  # encode before opening: no partial file
+        try:
+            Path(args.out).write_bytes(data)
+        except OSError as exc:  # a failed write names no file; name the one given
+            raise OSError(exc.errno, exc.strerror, args.out) from None
     elif sys.stdout is None:  # the process started with stdout closed
         raise InputError("closed-stdout", "standard output is closed; use --out")
     else:
@@ -225,7 +229,7 @@ def _cmd_validate(args) -> int:
         # a flaw in a --context file is a finding; usage errors propagate as usual
         if args.corpus is not None or args.context is None or exc.code in ("dimension-flag-required", "dimension-flag-forbidden"):
             raise
-        report = ValidationReport(errors=(Finding(exc.code, exc.message, exc.location),))
+        report = ValidationReport._of((Finding._of(exc.code, exc.message, exc.location),), ())
     _emit(args, _json_text(validation_json(report)))
     return 0 if report.ok else 1
 
@@ -316,7 +320,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (InputError, OSError) as exc:
+    except OSError as exc:  # a file that cannot be read or written: its path is quoted as the readers quote paths
+        where = "" if exc.filename is None else f": {exc.filename!r}"
+        _fail(str(InputError("io-error", f"{exc.strerror or exc}{where}")))
+        return 1
+    except InputError as exc:
         _fail(str(exc))
         return 1
     except IntegrityError as exc:

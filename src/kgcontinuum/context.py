@@ -48,8 +48,13 @@ _set_field = object.__setattr__
 
 
 class _Frozen:
-    """Immutable value: the fields are the names annotated in the class body, in that order, and
-    __init__ checks and sets each once through _set_field; a builder whose fields are checked already uses _of.
+    """Immutable value: the fields are the names annotated in the class body, in that order.
+
+    A field holds only what the value's other fields do not determine; what
+    they do determine is a property or a cached_property. __init__ checks
+    and sets each field once through _set_field, or computes it, as
+    ConceptLattice computes its concepts from its context; a builder whose
+    fields are checked already uses _of.
 
     Two values are equal when they are of the same class and their field
     tuples are equal; the hash is that tuple's, and the repr lists the fields.
@@ -152,6 +157,15 @@ def _collection(items: Iterable, what: str) -> tuple:
     if isinstance(items, (str, Mapping)) or not isinstance(items, Iterable):
         raise InputError("schema-violation", f"{what} must be a collection, not {type(items).__name__}")
     return tuple(items)
+
+
+def _instances(items: Iterable, kind: type, what: str) -> tuple:
+    """items as a tuple; anything but a collection of kind values raises InputError("schema-violation")."""
+    items = _collection(items, what)
+    for item in items:
+        if not isinstance(item, kind):  # the message is formatted only for the item that fails
+            _typed(item, kind, f"{what} must be {kind.__name__} values")
+    return items
 
 
 def _unique_names(names: Iterable[str], kind: str) -> tuple[str, ...]:
@@ -437,23 +451,27 @@ def serialize_json_context(ctx: FormalContext) -> str:
 
 
 class Finding(_Frozen):
+    """One validation finding: a code, a message and, if known, where."""
+
     code: str
     message: str
     location: str | None
 
     def __init__(self, code: str, message: str, location: str | None = None) -> None:
-        _set_field(self, "code", code)
-        _set_field(self, "message", message)
-        _set_field(self, "location", location)
+        _set_field(self, "code", _typed(code, str, "a finding's code must be a string"))
+        _set_field(self, "message", _typed(message, str, "a finding's message must be a string"))
+        _set_field(self, "location", None if location is None else _typed(location, str, "a finding's location must be a string"))
 
 
 class ValidationReport(_Frozen):
+    """Error and warning findings; the constructor stores each collection as a tuple of Finding values."""
+
     errors: tuple[Finding, ...]
     warnings: tuple[Finding, ...]
 
-    def __init__(self, errors: tuple[Finding, ...] = (), warnings: tuple[Finding, ...] = ()) -> None:
-        _set_field(self, "errors", errors)
-        _set_field(self, "warnings", warnings)
+    def __init__(self, errors: Iterable[Finding] = (), warnings: Iterable[Finding] = ()) -> None:
+        _set_field(self, "errors", _instances(errors, Finding, "a report's errors"))
+        _set_field(self, "warnings", _instances(warnings, Finding, "a report's warnings"))
 
     @property
     def ok(self) -> bool:
@@ -471,10 +489,10 @@ def validate_context(ctx: FormalContext) -> ValidationReport:
     warnings = []
     for attr, count in attribute_frequency(ctx).items():
         if count == 0:
-            warnings.append(Finding("vacuous-attribute", f"no object exhibits {attr!r}", attr))
+            warnings.append(Finding._of("vacuous-attribute", f"no object exhibits {attr!r}", attr))
         elif count == len(ctx.objects):
-            warnings.append(Finding("universal-attribute", f"every object exhibits {attr!r}", attr))
-    return ValidationReport(errors=(), warnings=tuple(warnings))
+            warnings.append(Finding._of("universal-attribute", f"every object exhibits {attr!r}", attr))
+    return ValidationReport._of((), tuple(warnings))
 
 
 def validation_json(report: ValidationReport) -> dict:
@@ -494,11 +512,7 @@ def attribute_frequency(ctx: FormalContext) -> Mapping[str, int]:
 
 
 def _contexts(contexts: Iterable[FormalContext]) -> tuple[FormalContext, ...]:
-    """contexts as a tuple; anything but a collection of FormalContext values raises InputError("schema-violation")."""
-    contexts = _collection(contexts, "contexts")
-    for ctx in contexts:
-        _typed(ctx, FormalContext, "contexts must be FormalContext values")
-    return contexts
+    return _instances(contexts, FormalContext, "contexts")
 
 
 def universal_features(contexts: Iterable[FormalContext]) -> tuple[tuple[Dimension, str], ...]:

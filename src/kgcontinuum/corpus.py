@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
+from functools import cached_property
 from types import MappingProxyType
 
 from .context import (
@@ -20,6 +21,7 @@ from .context import (
     FormalContext,
     ValidationReport,
     _Frozen,
+    _instances,
     _set_field,
     _typed,
     json_object,
@@ -63,21 +65,43 @@ _PAYLOAD = os.path.join(os.path.dirname(__file__), "data", "provenance_corpus.js
 
 
 class ProvenanceCorpus(_Frozen):
-    """The four per-dimension contexts, their merge, and golden concept sets."""
+    """The four per-dimension contexts and their golden concept sets; combined, their merge, derives on first use.
+
+    The constructor checks that contexts maps exactly the PER_DIMENSION
+    axes, each to a FormalContext of that dimension, and that golden maps
+    the same four, each to a collection of FormalConcept values, which it
+    stores as a tuple; load_corpus builds with _of.
+    """
 
     contexts: Mapping[Dimension, FormalContext]
-    combined: FormalContext
     golden: Mapping[Dimension, tuple[FormalConcept, ...]]
 
     def __init__(
         self,
         contexts: Mapping[Dimension, FormalContext],
-        combined: FormalContext,
-        golden: Mapping[Dimension, tuple[FormalConcept, ...]],
+        golden: Mapping[Dimension, Iterable[FormalConcept]],
     ) -> None:
-        _set_field(self, "contexts", contexts)
-        _set_field(self, "combined", combined)
-        _set_field(self, "golden", golden)
+        _per_dimension(contexts, "contexts")
+        _per_dimension(golden, "golden concept sets")
+        for d in PER_DIMENSION:
+            ctx = _typed(contexts[d], FormalContext, "corpus contexts must be FormalContext values")
+            if ctx.dimension is not d:
+                raise InputError("schema-violation", f"the {d.value} context is tagged {ctx.dimension.value}", location=d.value)
+        _set_field(self, "contexts", MappingProxyType({d: contexts[d] for d in PER_DIMENSION}))
+        _set_field(self, "golden", MappingProxyType({
+            d: _instances(golden[d], FormalConcept, f"{d.value} golden concepts") for d in PER_DIMENSION
+        }))
+
+    @cached_property
+    def combined(self) -> FormalContext:
+        """The merge of the four contexts; an InputError for hand-built contexts whose objects disagree."""
+        return merge_contexts([self.contexts[d] for d in PER_DIMENSION])
+
+
+def _per_dimension(mapping: Mapping[Dimension, object], what: str) -> None:
+    """Anything but a mapping keyed by exactly the PER_DIMENSION axes raises InputError("schema-violation")."""
+    if _typed(mapping, Mapping, f"corpus {what} must be a mapping").keys() != set(PER_DIMENSION):
+        raise InputError("schema-violation", f"corpus {what} must be keyed by exactly the four per-dimension axes")
 
 
 def payload_checksum(payload: dict) -> str:
@@ -132,8 +156,9 @@ def load_corpus() -> ProvenanceCorpus:
         if dim not in golden:
             raise _corrupt(f"missing golden concepts for {dim.value}")
 
-    combined = merge_contexts([contexts[d] for d in PER_DIMENSION])
-    return ProvenanceCorpus(MappingProxyType(contexts), combined, MappingProxyType(golden))
+    return ProvenanceCorpus._of(
+        MappingProxyType({d: contexts[d] for d in PER_DIMENSION}), MappingProxyType({d: golden[d] for d in PER_DIMENSION})
+    )
 
 
 def _describe(concept: FormalConcept) -> str:
@@ -151,12 +176,11 @@ def verify_corpus(corpus: ProvenanceCorpus) -> ValidationReport:
     _typed(corpus, ProvenanceCorpus, "a corpus must be a ProvenanceCorpus")
     findings: list[Finding] = []
     for dim in PER_DIMENSION:
-        ctx = corpus.contexts[dim]
-        computed = set(enumerate_concepts(ctx))
-        expected = set(corpus.golden.get(dim, ()))
+        computed = set(enumerate_concepts(corpus.contexts[dim]))
+        expected = set(corpus.golden[dim])
         key = lambda c: (len(c.extent), tuple(sorted(c.extent)), tuple(sorted(c.intent)))
         for concept in sorted(computed - expected, key=key):
-            findings.append(Finding("missing-golden-concept", _describe(concept), dim.value))
+            findings.append(Finding._of("missing-golden-concept", _describe(concept), dim.value))
         for concept in sorted(expected - computed, key=key):
-            findings.append(Finding("stale-golden-concept", _describe(concept), dim.value))
-    return ValidationReport(errors=tuple(findings), warnings=())
+            findings.append(Finding._of("stale-golden-concept", _describe(concept), dim.value))
+    return ValidationReport._of(tuple(findings), ())

@@ -191,20 +191,14 @@ def enumerate_concepts(ctx: FormalContext) -> tuple[FormalConcept, ...]:
 # --- lattice --------------------------------------------------------------
 
 
-def _int_in(value, low: int, high: int) -> bool:
-    """Whether value is an int in low..high-1."""
-    return isinstance(value, int) and low <= value < high
-
-
 class ConceptLattice(_Frozen):
-    """Concepts in canonical order, as (extent, intent) bitmask pairs, and their upper covers.
+    """The concept lattice of a context: its concepts in canonical order, as (extent, intent) bitmask pairs, and their upper covers.
 
-    upper_covers[i] lists concept i's upper covers in increasing order. concepts,
-    covers ((lower, upper) pairs) and names (in declaration order) derive from
-    these on first use. By extent size, the bottom comes first and the top last.
-
-    The constructor checks the structure, not that each pair is a concept;
-    build_lattice builds with _of.
+    The constructor computes masks and upper_covers from the context, so no
+    value holds a lattice that is not its context's. upper_covers[i] lists
+    concept i's upper covers in increasing order. concepts, covers ((lower,
+    upper) pairs) and names (in declaration order) derive from these on
+    first use. By extent size, the bottom comes first and the top last.
     """
 
     context: FormalContext
@@ -212,26 +206,36 @@ class ConceptLattice(_Frozen):
     upper_covers: tuple[tuple[int, ...], ...]
     bottom_index = 0
 
-    def __init__(
-        self, context: FormalContext, masks: tuple[tuple[int, int], ...], upper_covers: tuple[tuple[int, ...], ...]
-    ) -> None:
-        extents = 1 << len(_typed(context, FormalContext, "a context must be a FormalContext").objects)
-        intents = 1 << len(context.attributes)
-        if not (
-            isinstance(masks, tuple)
-            and masks
-            and all(isinstance(p, tuple) and len(p) == 2 and _int_in(p[0], 0, extents) and _int_in(p[1], 0, intents) for p in masks)
-        ):
-            raise InputError("schema-violation", "masks must be a non-empty tuple of (extent, intent) int pairs within the context")
-        if not (
-            isinstance(upper_covers, tuple)
-            and len(upper_covers) == len(masks)
-            and all(isinstance(ups, tuple) and all(_int_in(up, i + 1, len(masks)) for up in ups) for i, ups in enumerate(upper_covers))
-        ):
-            raise InputError("schema-violation", "upper_covers must hold a tuple per concept of indices of later concepts")
+    def __init__(self, context: FormalContext) -> None:
+        """Enumerate the concepts and compute the cover relation.
+
+        Covers follow Lindig's neighbour rule ("Fast Concept Analysis", 2000).
+        For a concept (A, B) and an attribute m outside B, A & m' is the extent
+        of a concept, found by one dict lookup. It is a lower cover unless its
+        intent holds an attribute, other than m, that is still in the running
+        set `minimal`; m leaves `minimal` whenever its candidate is rejected.
+        That is about |C|·|M| ANDs and lookups, with no comparison between
+        pairs of concepts. Uppers are visited in increasing index, so every
+        list of upper covers comes out in order.
+        """
+        pairs = _concept_masks(_typed(context, FormalContext, "a context must be a FormalContext"))
+        index_of = {extent: i for i, (extent, _) in enumerate(pairs)}
+        intents = [intent for _, intent in pairs]
+        attrs = [(1 << m, column) for m, column in enumerate(context.column_masks)]
+        full = (1 << len(attrs)) - 1
+        ups: list[list[int]] = [[] for _ in pairs]
+        for up, (extent, intent) in enumerate(pairs):
+            minimal = ~intent
+            for bit, column in compress(attrs, _bits(full & ~intent)):
+                lo = index_of[extent & column]
+                if intents[lo] & minimal == bit:
+                    ups[lo].append(up)
+                else:
+                    minimal ^= bit
         _set_field(self, "context", context)
-        _set_field(self, "masks", masks)
-        _set_field(self, "upper_covers", upper_covers)
+        _set_field(self, "masks", tuple(pairs))
+        _set_field(self, "upper_covers", tuple(map(tuple, ups)))
+        _set_field(self, "_index_by_extent", index_of)  # the cached property below, built once
 
     @property
     def top_index(self) -> int:
@@ -263,41 +267,14 @@ class ConceptLattice(_Frozen):
             raise InputError("unknown-extent", f"no concept has extent {sorted(names, key=str)}") from None
 
     def _concept_at(self, index: int) -> tuple[int, int]:
-        if not _int_in(index, 0, len(self.masks)):
+        if not (isinstance(index, int) and 0 <= index < len(self.masks)):
             raise InputError("index-out-of-range", f"concept index {index!r} out of range 0..{len(self.masks) - 1}")
         return self.masks[index]
 
 
 def build_lattice(ctx: FormalContext) -> ConceptLattice:
-    """Enumerate the concepts and compute the cover relation.
-
-    Covers follow Lindig's neighbour rule ("Fast Concept Analysis", 2000).
-    For a concept (A, B) and an attribute m outside B, A & m' is the extent
-    of a concept, found by one dict lookup. It is a lower cover unless its
-    intent holds an attribute, other than m, that is still in the running
-    set `minimal`; m leaves `minimal` whenever its candidate is rejected.
-    That is about |C|·|M| ANDs and lookups, with no comparison between
-    pairs of concepts. Uppers are visited in increasing index, so every
-    list of upper covers comes out in order.
-    """
-    _typed(ctx, FormalContext, "a context must be a FormalContext")
-    pairs = _concept_masks(ctx)
-    index_of = {extent: i for i, (extent, _) in enumerate(pairs)}
-    intents = [intent for _, intent in pairs]
-    attrs = [(1 << m, column) for m, column in enumerate(ctx.column_masks)]
-    full = (1 << len(attrs)) - 1
-    ups: list[list[int]] = [[] for _ in pairs]
-    for up, (extent, intent) in enumerate(pairs):
-        minimal = ~intent
-        for bit, column in compress(attrs, _bits(full & ~intent)):
-            lo = index_of[extent & column]
-            if intents[lo] & minimal == bit:
-                ups[lo].append(up)
-            else:
-                minimal ^= bit
-    lattice = ConceptLattice._of(ctx, tuple(pairs), tuple(map(tuple, ups)))
-    lattice.__dict__["_index_by_extent"] = index_of  # the cached property, built once
-    return lattice
+    """The concept lattice of ctx, ConceptLattice(ctx); a module function, which a tracer can wrap."""
+    return ConceptLattice(ctx)
 
 
 def meet(lattice: ConceptLattice, i: int, j: int) -> int:

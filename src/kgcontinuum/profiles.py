@@ -88,19 +88,20 @@ class FitnessReport(_Frozen):
     satisfied: Mapping[Dimension, frozenset[str]]
     gap: Mapping[Dimension, frozenset[str]]
     surplus: Mapping[Dimension, frozenset[str]]
-    fit: bool
 
     def __init__(
         self,
         satisfied: Mapping[Dimension, frozenset[str]],
         gap: Mapping[Dimension, frozenset[str]],
         surplus: Mapping[Dimension, frozenset[str]],
-        fit: bool,
     ) -> None:
         _set_field(self, "satisfied", _freeze(satisfied))
         _set_field(self, "gap", _freeze(gap))
         _set_field(self, "surplus", _freeze(surplus))
-        _set_field(self, "fit", _typed(fit, bool, "fit must be a bool"))
+
+    @property
+    def fit(self) -> bool:
+        return not any(self.gap.values())
 
 
 class FeatureDelta(_Frozen):
@@ -215,8 +216,7 @@ def evaluate_fitness(
         satisfied[dim] = required & exhibited
         gap[dim] = required - exhibited
         surplus[dim] = exhibited - required
-    fit = not any(gap.values())
-    return FitnessReport._of(MappingProxyType(satisfied), MappingProxyType(gap), MappingProxyType(surplus), fit)
+    return FitnessReport._of(MappingProxyType(satisfied), MappingProxyType(gap), MappingProxyType(surplus))
 
 
 def gap_cost(report: FitnessReport, model: CostModel | None = None) -> float:

@@ -1,7 +1,9 @@
 """CLI behaviour: subcommands, exit codes, determinism, diagnostics."""
 
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -417,6 +419,22 @@ def test_no_context_source_exits_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: missing-input: provide --context PATH")
+
+
+# a file that cannot be read or written is one coded line naming its path, as every other failure is
+@pytest.mark.parametrize("command", ["lattice", "validate"])
+def test_a_missing_file_is_one_coded_error_line(capsys, tmp_path, command):
+    path = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, command, "--context", path)
+    assert (code, out) == (1, "")
+    assert err == f"error: io-error: {os.strerror(errno.ENOENT)}: {path!r}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device whose every write fails with ENOSPC")
+def test_a_failed_write_is_one_coded_error_line(capsys):
+    code, out, err = run(capsys, "lattice", "--corpus", "builtin", "--dimension", "combined", "--out", "/dev/full")
+    assert (code, out) == (1, "")
+    assert err == f"error: io-error: {os.strerror(errno.ENOSPC)}: '/dev/full'\n"
 
 
 @pytest.mark.parametrize("command", ["fit", "delta"])

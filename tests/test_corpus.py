@@ -11,12 +11,14 @@ import pytest
 import kgcontinuum.corpus as corpus_module
 from kgcontinuum import (
     KG_NAMES,
+    PER_DIMENSION,
     Dimension,
     FormalConcept,
     FormalContext,
     IntegrityError,
     ProvenanceCorpus,
     load_corpus,
+    merge_contexts,
     verify_corpus,
 )
 from kgcontinuum.cli import main
@@ -55,6 +57,14 @@ def test_corpus_shape():
     assert c.combined.objects == KG_NAMES
 
 
+def test_combined_is_the_merge_of_the_four_contexts_derived_on_first_use():
+    c = load_corpus()
+    assert "combined" not in vars(c)  # loading merges nothing
+    assert c.combined == merge_contexts([c.contexts[d] for d in PER_DIMENSION])
+    assert vars(c)["combined"] is c.combined
+    assert ProvenanceCorpus._fields == ("contexts", "golden")
+
+
 def test_transcription_checksum_frozen():
     doc = _shipped_doc()
     assert doc["checksum"] == EXPECTED_CHECKSUM
@@ -74,7 +84,7 @@ def _with_flipped_cell(c, dim):
     tampered = FormalContext(dim, ctx.objects, ctx.attributes, tuple(tuple(r) for r in rows))
     contexts = dict(c.contexts)
     contexts[dim] = tampered
-    return ProvenanceCorpus(contexts, c.combined, c.golden)
+    return ProvenanceCorpus(contexts, c.golden)
 
 
 def test_verify_detects_flipped_incidence():
@@ -89,7 +99,7 @@ def test_verify_detects_deleted_golden_row():
     c = corpus()
     golden = dict(c.golden)
     golden[Dimension.PRAGMATIC_PROPERTY] = golden[Dimension.PRAGMATIC_PROPERTY][1:]
-    report = verify_corpus(ProvenanceCorpus(c.contexts, c.combined, golden))
+    report = verify_corpus(ProvenanceCorpus(c.contexts, golden))
     assert [f.code for f in report.errors] == ["missing-golden-concept"]
 
 
@@ -98,7 +108,7 @@ def test_verify_detects_fabricated_golden_row():
     fake = FormalConcept(frozenset(["Europeana", "UniProt"]), frozenset(["PROV-O"]))
     golden = dict(c.golden)
     golden[Dimension.PRAGMATIC_PROPERTY] = golden[Dimension.PRAGMATIC_PROPERTY] + (fake,)
-    report = verify_corpus(ProvenanceCorpus(c.contexts, c.combined, golden))
+    report = verify_corpus(ProvenanceCorpus(c.contexts, golden))
     assert [f.code for f in report.errors] == ["stale-golden-concept"]
 
 

@@ -372,9 +372,9 @@ def test_meet_join_identities():
 
 
 def test_hand_built_lattice_answers_meet_and_join():
-    # build_lattice pre-fills the extent index; a lattice built from its fields builds it on first use
+    # the constructor pre-fills the extent index; a lattice built from its fields past it builds the index on first use
     built = build_lattice(corpus().contexts[Dimension.PRAGMATIC_PROPERTY])
-    lattice = ConceptLattice(built.context, built.masks, built.upper_covers)
+    lattice = ConceptLattice._of(built.context, built.masks, built.upper_covers)
     assert "_index_by_extent" not in lattice.__dict__
     n = len(lattice.masks)
     pairs = [(i, j) for i in range(n) for j in range(n)]

@@ -17,13 +17,17 @@ from kgcontinuum import (
     Dimension,
     FeatureDelta,
     FeatureRegistry,
+    Finding,
     FitnessReport,
+    FormalConcept,
     FormalContext,
     Implication,
     InputError,
     KgProfile,
     Legend,
+    ProvenanceCorpus,
     RequirementSet,
+    ValidationReport,
     assign_layers,
     attribute_frequency,
     build_lattice,
@@ -227,16 +231,44 @@ def rendered_legend(rows):
     return table.to_markdown(), table.to_csv()
 
 
-def rendered_lattice(context, masks, upper_covers):
+def rendered_lattice(context):
     """A ConceptLattice, as lattice_json and to_dot write it."""
-    lattice = ConceptLattice(context, masks, upper_covers)
+    lattice = ConceptLattice(context)
     return lattice_json(lattice), to_dot(lattice, "id+intent")
 
 
-def priced_report(satisfied, gap, surplus, fit):
+def priced_report(satisfied, gap, surplus):
     """A FitnessReport, priced by gap_cost and written by fitness_json."""
-    report = FitnessReport(satisfied, gap, surplus, fit)
+    report = FitnessReport(satisfied, gap, surplus)
     return gap_cost(report), fitness_json(report, kg="kg", requirement=RequirementSet("c", "t", {}))
+
+
+def written_finding(code, message, location):
+    """A Finding, as validation_json writes it."""
+    return validation_json(ValidationReport([Finding(code, message, location)]))
+
+
+def written_report(errors, warnings):
+    """A ValidationReport, as validation_json writes it."""
+    return validation_json(ValidationReport(errors, warnings))
+
+
+def verified_corpus(contexts, golden):
+    """A ProvenanceCorpus, checked by verify_corpus, and its merged context."""
+    corpus = ProvenanceCorpus(contexts, golden)
+    return verify_corpus(corpus), corpus.combined
+
+
+findings = st.builds(Finding, names, names, st.none() | names)
+# a context under each per-dimension axis, drawn one by one, so their objects may disagree
+corpus_contexts = st.fixed_dictionaries({
+    d: contexts_strategy(max_objects=3, max_attributes=3).map(lambda c, d=d: FormalContext(d, c.objects, c.attributes, c.incidence))
+    for d in PER_DIMENSION
+})
+golden_sets = st.fixed_dictionaries({
+    d: st.lists(st.builds(FormalConcept, st.frozensets(names, max_size=2), st.frozensets(names, max_size=2)), max_size=2)
+    for d in PER_DIMENSION
+})
 
 
 # each constructor with a well-typed strategy per field
@@ -261,13 +293,11 @@ CONSTRUCTORS = [
     (Implication, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
     (delta_of_one_dimension, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
     (rendered_legend, [st.lists(st.tuples(st.lists(names, max_size=3), st.lists(names, max_size=3)), max_size=3)]),
-    # masks and indices around the bounds of contexts of up to 2 objects and 2 attributes
-    (rendered_lattice, [
-        contexts_strategy(max_objects=2, max_attributes=2),
-        st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), max_size=3).map(tuple),
-        st.lists(st.lists(st.integers(-1, 3), max_size=2).map(tuple), max_size=3).map(tuple),
-    ]),
-    (priced_report, [feature_maps, feature_maps, feature_maps, st.booleans()]),
+    (rendered_lattice, [contexts_strategy(max_objects=2, max_attributes=2)]),
+    (priced_report, [feature_maps, feature_maps, feature_maps]),
+    (written_finding, [names, names, st.none() | names]),
+    (written_report, [st.lists(findings, max_size=2)] * 2),
+    (verified_corpus, [corpus_contexts, golden_sets]),
 ]
 
 
@@ -335,7 +365,8 @@ def test_queries_raise_only_input_errors(query, typed, data):
 # each query that takes a collection of names, given a bare string, which would read as its characters;
 # register_feature given a dimension tag instead of a Dimension; from_feature_sets given two keys
 # that normalize to one object; the registry types given what the registry rules forbid; and the
-# queries over contexts and implications given something else; and Implication given sides that are not collections
+# queries over contexts and implications given something else; Implication given sides that are not collections;
+# and the validation and corpus values given fields of the right type but the wrong contents
 SP = Dimension.SEMANTIC_PROPERTY
 REJECTED = [
     ("derive_attributes", lambda: derive_attributes(CTX, "LOV"), "schema-violation"),
@@ -378,13 +409,14 @@ REJECTED = [
     ("FeatureDelta-string", lambda: FeatureDelta("ab", ()), "schema-violation"),
     ("Legend-row-of-three", lambda: Legend([((), (), ())]), "schema-violation"),
     ("Legend-string-side", lambda: Legend([("ab", ())]), "schema-violation"),
-    ("ConceptLattice-no-concepts", lambda: lattice_json(ConceptLattice(CTX, (), ())), "schema-violation"),
-    ("ConceptLattice-missing-upper", lambda: lattice_json(ConceptLattice(CTX, ((1, 1),), ((5,),))), "schema-violation"),
-    ("ConceptLattice-missing-upper-dot", lambda: to_dot(ConceptLattice(CTX, ((1, 1),), ((5,),))), "schema-violation"),
-    ("ConceptLattice-string-masks", lambda: ConceptLattice(CTX, "xy", ()), "schema-violation"),
-    ("ConceptLattice-lower-upper", lambda: ConceptLattice(CTX, ((1, 1), (3, 0)), ((), (0,))), "schema-violation"),
-    ("ConceptLattice-wide-mask", lambda: ConceptLattice(CTX, ((1 << len(CTX.objects), 0),), ((),)), "schema-violation"),
-    ("FitnessReport-string-features", lambda: gap_cost(FitnessReport({}, {SP: "ab"}, {}, False)), "schema-violation"),
+    ("FitnessReport-string-features", lambda: gap_cost(FitnessReport({}, {SP: "ab"}, {})), "schema-violation"),
+    ("Finding-numbers", lambda: Finding(1, 2), "schema-violation"),
+    ("ValidationReport-numbers", lambda: validation_json(ValidationReport(5, 6)), "schema-violation"),
+    ("ValidationReport-string", lambda: ValidationReport("ab"), "schema-violation"),
+    ("ProvenanceCorpus-no-contexts", lambda: verify_corpus(ProvenanceCorpus({}, corpus().golden)), "schema-violation"),
+    ("ProvenanceCorpus-combined-context", lambda: ProvenanceCorpus({**CONTEXTS, SP: corpus().combined}, corpus().golden), "schema-violation"),
+    ("ProvenanceCorpus-tag-keys", lambda: ProvenanceCorpus({d.value: c for d, c in CONTEXTS.items()}, corpus().golden), "schema-violation"),
+    ("ProvenanceCorpus-string-golden", lambda: ProvenanceCorpus(CONTEXTS, {d: "ab" for d in PER_DIMENSION}), "schema-violation"),
     ("RegistryEntry-empty-introduced-by", lambda: RegistryEntry("x", SP, "  "), "empty-name"),
     ("register_feature-empty-introduced-by", lambda: register_feature(FeatureRegistry(), "x", SP, introduced_by="  "), "empty-name"),
 ]
@@ -424,9 +456,17 @@ WRONG_TYPES = [
     ("Legend-row", lambda: Legend([5]).to_markdown(), "int"),
     ("Legend-side", lambda: Legend([(1, 2)]).to_csv(), "int"),
     ("Legend-name", lambda: Legend([(["g"], [b"m"])]), "bytes"),
-    ("ConceptLattice-context", lambda: ConceptLattice(5, ((1, 1),), ((),)), "int"),
-    ("FitnessReport-maps", lambda: FitnessReport(5, 6, 7, True), "int"),
-    ("FitnessReport-fit", lambda: FitnessReport({}, {}, {}, "yes"), "str"),
+    ("ConceptLattice-context", lambda: ConceptLattice(5), "int"),
+    ("FitnessReport-maps", lambda: FitnessReport(5, 6, 7), "int"),
+    ("Finding-code", lambda: Finding(1, "m"), "int"),
+    ("Finding-message", lambda: Finding("c", None), "NoneType"),
+    ("Finding-location", lambda: Finding("c", "m", 5), "int"),
+    ("ValidationReport-item", lambda: ValidationReport([1]), "int"),
+    ("ValidationReport-warning", lambda: ValidationReport((), ["w"]), "str"),
+    ("ProvenanceCorpus-contexts", lambda: ProvenanceCorpus(5, corpus().golden), "int"),
+    ("ProvenanceCorpus-context", lambda: ProvenanceCorpus({d: 5 for d in PER_DIMENSION}, corpus().golden), "int"),
+    ("ProvenanceCorpus-golden", lambda: ProvenanceCorpus(CONTEXTS, [1]), "list"),
+    ("ProvenanceCorpus-golden-item", lambda: ProvenanceCorpus(CONTEXTS, {d: [5] for d in PER_DIMENSION}), "int"),
     # the text readers take str; bytes, which json.loads would decode, are no exception
     ("parse_cxt-text", lambda: parse_cxt(5), "int"),
     ("parse_json_context-text", lambda: parse_json_context(None), "NoneType"),

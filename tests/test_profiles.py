@@ -491,7 +491,7 @@ def test_cost_model_rejects_overrides_that_normalize_to_one_name(build):
     pytest.param(lambda: RequirementSet("c", "t", [(SP, ["x"])]), id="requirement-list-required"),
     pytest.param(lambda: KgProfile("kg", STRAY), id="profile-tag-key"),
     pytest.param(lambda: RequirementSet("c", "t", STRAY), id="requirement-tag-key"),
-    pytest.param(lambda: FitnessReport(STRAY, {}, {}, True), id="fitness-report-tag-key"),
+    pytest.param(lambda: FitnessReport(STRAY, {}, {}), id="fitness-report-tag-key"),
     pytest.param(lambda: CostModel(overrides=[("a", 1)]), id="cost-model-list-overrides"),
 ])
 def test_value_types_reject_fields_of_the_wrong_type(build):
@@ -559,11 +559,10 @@ def test_fitness_and_delta_match_the_per_function_loops(have, want, other, cost)
     satisfied=feature_maps,
     gap=feature_maps,
     surplus=feature_maps,
-    fit=st.booleans(),
     delta=dimension_maps(st.builds(FeatureDelta, feature_sets, feature_sets)),
 )
-def test_json_writers_order_hand_built_maps_like_the_sorted_writers(satisfied, gap, surplus, fit, delta):
-    report = FitnessReport(satisfied, gap, surplus, fit)
+def test_json_writers_order_hand_built_maps_like_the_sorted_writers(satisfied, gap, surplus, delta):
+    report = FitnessReport(satisfied, gap, surplus)
     requirement = RequirementSet("c", "t", {})
     assert dumped(fitness_json(report, kg="kg", requirement=requirement)) == dumped(
         oracle_fitness_json(report, kg="kg", requirement=requirement)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kgcontinuum import (
+    PER_DIMENSION,
     ConceptLattice,
     CostModel,
     Dimension,
@@ -26,6 +27,10 @@ from kgcontinuum import (
     ValidationReport,
     build_lattice,
     enumerate_concepts,
+    evaluate_fitness,
+    join,
+    meet,
+    profile_of,
 )
 
 from helpers import contexts_strategy
@@ -45,7 +50,14 @@ def _fields(value, names):
     return {name: getattr(value, name) for name in names}
 
 
-# each value class, its fields in declaration order, and a strategy for its keyword arguments
+def _corpus_fields(c):
+    """A copy of the context under each per-dimension axis, with its concepts as the golden sets."""
+    contexts = {d: FormalContext(d, c.objects, c.attributes, c.incidence) for d in PER_DIMENSION}
+    return {"contexts": MappingProxyType(contexts), "golden": MappingProxyType({d: enumerate_concepts(x) for d, x in contexts.items()})}
+
+
+# each value class, its fields in declaration order, and a strategy for its constructor's keyword arguments,
+# which are its fields, or for ConceptLattice, which computes the other two, the first of them
 VALUES = [
     (FormalContext, ("dimension", "objects", "attributes", "incidence"), contexts.map(
         lambda c: _fields(c, ("objects", "attributes", "incidence")) | {"dimension": c.dimension}
@@ -64,15 +76,13 @@ VALUES = [
     })),
     (FormalConcept, ("extent", "intent"), st.fixed_dictionaries({"extent": name_sets, "intent": name_sets})),
     (Implication, ("premise", "conclusion"), st.fixed_dictionaries({"premise": name_sets, "conclusion": name_sets})),
-    (ConceptLattice, ("context", "masks", "upper_covers"), lattices.map(lambda l: _fields(l, ("context", "masks", "upper_covers")))),
-    (ProvenanceCorpus, ("contexts", "combined", "golden"), contexts.map(lambda c: {
-        "contexts": MappingProxyType({SP: c}), "combined": c, "golden": MappingProxyType({SP: enumerate_concepts(c)}),
-    })),
+    (ConceptLattice, ("context", "masks", "upper_covers"), contexts.map(lambda c: {"context": c})),
+    (ProvenanceCorpus, ("contexts", "golden"), contexts.map(_corpus_fields)),
     (Legend, ("rows",), lattices.map(lambda l: {"rows": l.names})),
     (KgProfile, ("kg", "features"), st.fixed_dictionaries({"kg": names, "features": feature_maps})),
     (RequirementSet, ("community", "task", "required"), st.fixed_dictionaries({"community": names, "task": names, "required": feature_maps})),
-    (FitnessReport, ("satisfied", "gap", "surplus", "fit"), st.fixed_dictionaries({
-        "satisfied": frozen_maps, "gap": frozen_maps, "surplus": frozen_maps, "fit": st.booleans(),
+    (FitnessReport, ("satisfied", "gap", "surplus"), st.fixed_dictionaries({
+        "satisfied": frozen_maps, "gap": frozen_maps, "surplus": frozen_maps,
     })),
     (FeatureDelta, ("add", "remove"), st.fixed_dictionaries({"add": name_sets, "remove": name_sets})),
     (CostModel, ("add_weight", "remove_weight", "overrides"), st.fixed_dictionaries({
@@ -94,7 +104,7 @@ def test_every_value_class_is_listed_once():
 def test_value_classes_compare_hash_and_print_by_their_fields(cls, fields, kwargs, data):
     a, b = data.draw(kwargs), data.draw(kwargs)
     x, y = cls(**a), cls(**b)
-    assert x == cls(*(a[name] for name in fields))  # keyword and positional construction agree
+    assert x == cls(*(a[name] for name in fields if name in a))  # keyword and positional construction agree
     values = tuple(getattr(x, name) for name in fields)
     if cls is not FeatureRegistry:  # whose constructor also builds its name index
         assert cls._of(*values) == x  # the builders' way past the checks gives the same value
@@ -146,3 +156,19 @@ def test_cached_properties_are_computed_once_into_the_instance():
     # equality and hashing read the fields only, never what the cached properties stored
     assert ctx == FormalContext(SP, ["g", "h"], ["a", "b"], [[True, False], [True, True]])
     assert hash(lattice) == hash(build_lattice(ctx))
+
+
+@given(ctx=contexts_strategy(max_objects=4, max_attributes=4), required=st.frozensets(st.sampled_from(["m0", "m1", "m2", "x"])))
+def test_values_derive_what_their_fields_determine(ctx, required):
+    # a lattice is computed from its context alone, and a copy keeps the extent index its queries read
+    lattice = ConceptLattice(ctx)
+    assert lattice == build_lattice(ctx) and ConceptLattice._fields == ("context", "masks", "upper_covers")
+    copy = pickle.loads(pickle.dumps(lattice))
+    pairs = [(i, j) for i in range(len(lattice.masks)) for j in range(len(lattice.masks))]
+    assert [(meet(copy, i, j), join(copy, i, j)) for i, j in pairs] == [(meet(lattice, i, j), join(lattice, i, j)) for i, j in pairs]
+    # a report's fit is read from its gap, which no constructor argument can contradict
+    assert FitnessReport._fields == ("satisfied", "gap", "surplus")
+    if ctx.objects:
+        profile = profile_of([FormalContext(SP, ctx.objects, ctx.attributes, ctx.incidence)], ctx.objects[-1])
+        report = evaluate_fitness(profile, RequirementSet("c", "t", {SP: required}))
+        assert report.fit == (not any(report.gap.values())) == (required <= profile.features[SP])
