@@ -58,7 +58,9 @@ class _Frozen:
 
     Two values are equal when they are of the same class and their field
     tuples are equal; the hash is that tuple's, and the repr lists the fields.
-    Instances keep a __dict__, so cached_property and pickling work as usual.
+    Instances keep a __dict__, so cached_property works as usual. A value
+    pickles as its class and its fields, each mapping proxy as a dict, and
+    unpickles through _of; what the cached properties stored is not sent.
     """
 
     _fields = ()
@@ -78,6 +80,10 @@ class _Frozen:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    def __reduce__(self):
+        # a mappingproxy does not pickle; no field holds a plain dict, so _unpickled knows which to wrap again
+        return _unpickled, (self.__class__, tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in self._values()))
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -95,6 +101,11 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _unpickled(cls: type[_Frozen], values: tuple) -> _Frozen:
+    """The value _Frozen.__reduce__ sent: its fields, each dict wrapped back in a mapping proxy."""
+    return cls._of(*(MappingProxyType(v) if isinstance(v, dict) else v for v in values))
 
 
 def normalize_name(name: str) -> str:
@@ -563,8 +574,7 @@ class FeatureRegistry(_Frozen):
 
     def __init__(self, entries: Iterable[RegistryEntry] = ()) -> None:
         by_name: dict[str, RegistryEntry] = {}
-        for entry in _collection(entries, "registry entries"):
-            _typed(entry, RegistryEntry, "registry entries must be RegistryEntry values")
+        for entry in _instances(entries, RegistryEntry, "registry entries"):
             if entry.dimension is Dimension.COMBINED:
                 raise InputError("combined-dimension", "features register under a per-dimension axis, not combined")
             first = by_name.setdefault(entry.name, entry)
@@ -575,7 +585,11 @@ class FeatureRegistry(_Frozen):
                     location=entry.name,
                 )
         _set_field(self, "entries", tuple(by_name.values()))
-        _set_field(self, "_by_name", by_name)
+        _set_field(self, "_by_name", by_name)  # the cached property below, built once
+
+    @cached_property
+    def _by_name(self) -> dict[str, RegistryEntry]:
+        return {e.name: e for e in self.entries}
 
     @cached_property
     def _names_by_dimension(self) -> Mapping[Dimension, frozenset[str]]:

@@ -12,7 +12,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, compress
 from operator import and_, or_
 
-from .context import FormalContext, _bits, _collection, _Frozen, _set_field, _typed
+from .context import FormalContext, _bits, _collection, _Frozen, _instances, _set_field, _typed
 from .errors import InputError
 
 
@@ -327,8 +327,7 @@ def close_under_implications(implications: Iterable[Implication], attributes: It
         return sum({1 << number.setdefault(name, len(number)) for name in names})  # distinct bits: sum is OR
 
     start = mask(_name_set(attributes, "attributes"))
-    typed = (_typed(imp, Implication, "an implication must be an Implication") for imp in _collection(implications, "implications"))
-    pairs = [(mask(imp.premise), mask(imp.conclusion)) for imp in typed]
+    pairs = [(mask(imp.premise), mask(imp.conclusion)) for imp in _instances(implications, Implication, "implications")]
     index = _ImplicationIndex(len(number))
     for premise, conclusion in pairs:
         index.add(premise, premise | conclusion)

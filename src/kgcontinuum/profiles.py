@@ -78,26 +78,30 @@ class RequirementSet(_Frozen):
 
 
 class FitnessReport(_Frozen):
-    """Per-dimension split of required versus exhibited features.
+    """Per-dimension split of a requirement's features against a profile's.
 
-    fit is true exactly when every gap set is empty; an empty requirement is
-    trivially fit. The constructor checks and normalizes the three maps as
-    KgProfile's does; evaluate_fitness builds with _of.
+    The constructor computes the three maps from a profile and a requirement,
+    keyed by every dimension either names, in Dimension order. fit is true
+    exactly when every gap set is empty; an empty requirement is trivially fit.
     """
 
     satisfied: Mapping[Dimension, frozenset[str]]
     gap: Mapping[Dimension, frozenset[str]]
     surplus: Mapping[Dimension, frozenset[str]]
 
-    def __init__(
-        self,
-        satisfied: Mapping[Dimension, frozenset[str]],
-        gap: Mapping[Dimension, frozenset[str]],
-        surplus: Mapping[Dimension, frozenset[str]],
-    ) -> None:
-        _set_field(self, "satisfied", _freeze(satisfied))
-        _set_field(self, "gap", _freeze(gap))
-        _set_field(self, "surplus", _freeze(surplus))
+    def __init__(self, profile: KgProfile, requirement: RequirementSet) -> None:
+        _typed(profile, KgProfile, "a profile must be a KgProfile")
+        _typed(requirement, RequirementSet, "a requirement must be a RequirementSet")
+        satisfied: dict[Dimension, frozenset[str]] = {}
+        gap: dict[Dimension, frozenset[str]] = {}
+        surplus: dict[Dimension, frozenset[str]] = {}
+        for dim, exhibited, required in _sides(profile.features, requirement.required):
+            satisfied[dim] = required & exhibited
+            gap[dim] = required - exhibited
+            surplus[dim] = exhibited - required
+        _set_field(self, "satisfied", MappingProxyType(satisfied))
+        _set_field(self, "gap", MappingProxyType(gap))
+        _set_field(self, "surplus", MappingProxyType(surplus))
 
     @property
     def fit(self) -> bool:
@@ -199,24 +203,16 @@ def evaluate_fitness(
     requirement: RequirementSet,
     registry: FeatureRegistry | None = None,
 ) -> FitnessReport:
-    """Split each dimension's required features into satisfied and gap sets.
+    """FitnessReport(profile, requirement): each dimension's required features split into satisfied and gap sets.
 
-    When a registry is supplied, every profile and requirement feature must
+    A module function, which a tracer can wrap. When a registry is supplied, every profile and requirement feature must
     be registered under the dimension it is used in.
     """
-    _typed(profile, KgProfile, "a profile must be a KgProfile")
-    _typed(requirement, RequirementSet, "a requirement must be a RequirementSet")
+    report = FitnessReport(profile, requirement)
     if registry is not None:
         _check_registered("profile", profile.features, registry)
         _check_registered("requirement", requirement.required, registry)
-    satisfied: dict[Dimension, frozenset[str]] = {}
-    gap: dict[Dimension, frozenset[str]] = {}
-    surplus: dict[Dimension, frozenset[str]] = {}
-    for dim, exhibited, required in _sides(profile.features, requirement.required):
-        satisfied[dim] = required & exhibited
-        gap[dim] = required - exhibited
-        surplus[dim] = exhibited - required
-    return FitnessReport._of(MappingProxyType(satisfied), MappingProxyType(gap), MappingProxyType(surplus))
+    return report
 
 
 def gap_cost(report: FitnessReport, model: CostModel | None = None) -> float:
@@ -292,7 +288,7 @@ def cost_model_from_json(text: str) -> CostModel:
 
 
 def _features_json(features: Mapping[Dimension, frozenset[str]]) -> dict[str, list[str]]:
-    return {_TAG[d]: sorted(features[d]) for d in _dimensions(features)}
+    return {_TAG[d]: sorted(feats) for d, feats in features.items()}  # every report's maps are in Dimension order
 
 
 def fitness_json(report: FitnessReport, *, kg: str, requirement: RequirementSet, cost: float | None = None) -> dict:

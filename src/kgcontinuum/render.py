@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from itertools import chain
 
-from .context import _collection, _Frozen, _set_field, _typed
+from .context import _Frozen, _set_field, _typed
 from .errors import InputError
 from .fca import ConceptLattice
 
@@ -13,28 +12,16 @@ from .fca import ConceptLattice
 EMPTY_MARK = "---"
 
 
-def _legend_names(names: Iterable[str]) -> tuple[str, ...]:
-    return tuple(_typed(name, str, "legend names must be strings") for name in _collection(names, "legend names"))
-
-
-def _legend_row(row: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    sides = _collection(row, "a legend row")
-    if len(sides) != 2:
-        raise InputError("schema-violation", f"a legend row must be an (objects, attributes) pair, not {len(sides)} items")
-    return _legend_names(sides[0]), _legend_names(sides[1])
-
-
 class Legend(_Frozen):
     """One (objects, attributes) row per concept, in canonical order: row i is concept c{i}.
 
-    The constructor checks that every row is a pair of collections of string
-    names; legend() builds with _of.
+    The constructor reads the rows from a lattice: they are its names.
     """
 
     rows: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
-    def __init__(self, rows: Iterable[tuple[Iterable[str], Iterable[str]]]) -> None:
-        _set_field(self, "rows", tuple(map(_legend_row, _collection(rows, "legend rows"))))
+    def __init__(self, lattice: ConceptLattice) -> None:
+        _set_field(self, "rows", _typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice").names)
 
     def to_markdown(self) -> str:
         lines = ["| ID | Objects | Attributes |", "| --- | --- | --- |"]
@@ -58,7 +45,7 @@ class Legend(_Frozen):
 
 def legend(lattice: ConceptLattice) -> Legend:
     """Tabulate every concept; names are listed in declaration order."""
-    return Legend._of(_typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice").names)
+    return Legend(lattice)
 
 
 def assign_layers(lattice: ConceptLattice) -> tuple[int, ...]:

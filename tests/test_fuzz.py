@@ -225,9 +225,9 @@ def delta_of_one_dimension(add, remove):
     return delta_json({Dimension.SEMANTIC_PROPERTY: FeatureDelta(add, remove)}, source="s", target="t")
 
 
-def rendered_legend(rows):
-    """A Legend, in both of its formats."""
-    table = Legend(rows)
+def rendered_legend(context):
+    """A Legend of the context's lattice, in both of its formats."""
+    table = Legend(ConceptLattice(context))
     return table.to_markdown(), table.to_csv()
 
 
@@ -237,10 +237,11 @@ def rendered_lattice(context):
     return lattice_json(lattice), to_dot(lattice, "id+intent")
 
 
-def priced_report(satisfied, gap, surplus):
-    """A FitnessReport, priced by gap_cost and written by fitness_json."""
-    report = FitnessReport(satisfied, gap, surplus)
-    return gap_cost(report), fitness_json(report, kg="kg", requirement=RequirementSet("c", "t", {}))
+def priced_report(features, required):
+    """A FitnessReport of a profile against a requirement, priced by gap_cost and written by fitness_json."""
+    requirement = RequirementSet("c", "t", required)
+    report = FitnessReport(KgProfile("kg", features), requirement)
+    return gap_cost(report), fitness_json(report, kg="kg", requirement=requirement)
 
 
 def written_finding(code, message, location):
@@ -292,9 +293,9 @@ CONSTRUCTORS = [
     ]),
     (Implication, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
     (delta_of_one_dimension, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
-    (rendered_legend, [st.lists(st.tuples(st.lists(names, max_size=3), st.lists(names, max_size=3)), max_size=3)]),
+    (rendered_legend, [contexts_strategy(max_objects=2, max_attributes=2)]),
     (rendered_lattice, [contexts_strategy(max_objects=2, max_attributes=2)]),
-    (priced_report, [feature_maps, feature_maps, feature_maps]),
+    (priced_report, [feature_maps, feature_maps]),
     (written_finding, [names, names, st.none() | names]),
     (written_report, [st.lists(findings, max_size=2)] * 2),
     (verified_corpus, [corpus_contexts, golden_sets]),
@@ -407,9 +408,6 @@ REJECTED = [
     ("Implication-string", lambda: Implication("ab", "c"), "schema-violation"),
     ("Implication-number", lambda: Implication(1, 2), "schema-violation"),
     ("FeatureDelta-string", lambda: FeatureDelta("ab", ()), "schema-violation"),
-    ("Legend-row-of-three", lambda: Legend([((), (), ())]), "schema-violation"),
-    ("Legend-string-side", lambda: Legend([("ab", ())]), "schema-violation"),
-    ("FitnessReport-string-features", lambda: gap_cost(FitnessReport({}, {SP: "ab"}, {})), "schema-violation"),
     ("Finding-numbers", lambda: Finding(1, 2), "schema-violation"),
     ("ValidationReport-numbers", lambda: validation_json(ValidationReport(5, 6)), "schema-violation"),
     ("ValidationReport-string", lambda: ValidationReport("ab"), "schema-violation"),
@@ -453,11 +451,10 @@ WRONG_TYPES = [
     ("delta_json-value", lambda: delta_json({SP: 2}, source="a", target="b"), "int"),
     ("FeatureDelta-sides", lambda: delta_json({SP: FeatureDelta(5, 6)}, source="a", target="b"), "int"),
     ("FeatureDelta-name", lambda: FeatureDelta([], [None]), "NoneType"),
-    ("Legend-row", lambda: Legend([5]).to_markdown(), "int"),
-    ("Legend-side", lambda: Legend([(1, 2)]).to_csv(), "int"),
-    ("Legend-name", lambda: Legend([(["g"], [b"m"])]), "bytes"),
+    ("Legend-lattice", lambda: Legend(5), "int"),
     ("ConceptLattice-context", lambda: ConceptLattice(5), "int"),
-    ("FitnessReport-maps", lambda: FitnessReport(5, 6, 7), "int"),
+    ("FitnessReport-profile", lambda: FitnessReport(5, RequirementSet("c", "t", {})), "int"),
+    ("FitnessReport-requirement", lambda: FitnessReport(KgProfile("kg", {}), 6), "int"),
     ("Finding-code", lambda: Finding(1, "m"), "int"),
     ("Finding-message", lambda: Finding("c", None), "NoneType"),
     ("Finding-location", lambda: Finding("c", "m", 5), "int"),

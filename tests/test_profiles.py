@@ -491,7 +491,6 @@ def test_cost_model_rejects_overrides_that_normalize_to_one_name(build):
     pytest.param(lambda: RequirementSet("c", "t", [(SP, ["x"])]), id="requirement-list-required"),
     pytest.param(lambda: KgProfile("kg", STRAY), id="profile-tag-key"),
     pytest.param(lambda: RequirementSet("c", "t", STRAY), id="requirement-tag-key"),
-    pytest.param(lambda: FitnessReport(STRAY, {}, {}), id="fitness-report-tag-key"),
     pytest.param(lambda: CostModel(overrides=[("a", 1)]), id="cost-model-list-overrides"),
 ])
 def test_value_types_reject_fields_of_the_wrong_type(build):
@@ -556,18 +555,30 @@ def test_fitness_and_delta_match_the_per_function_loops(have, want, other, cost)
 
 
 @given(
-    satisfied=feature_maps,
-    gap=feature_maps,
-    surplus=feature_maps,
+    have=feature_maps,
+    want=feature_maps,
     delta=dimension_maps(st.builds(FeatureDelta, feature_sets, feature_sets)),
 )
-def test_json_writers_order_hand_built_maps_like_the_sorted_writers(satisfied, gap, surplus, delta):
-    report = FitnessReport(satisfied, gap, surplus)
-    requirement = RequirementSet("c", "t", {})
+def test_json_writers_order_hand_built_maps_like_the_sorted_writers(have, want, delta):
+    # the profile's and the requirement's maps are inserted in random dimension order
+    requirement = RequirementSet("c", "t", want)
+    report = evaluate_fitness(KgProfile("kg", have), requirement)
     assert dumped(fitness_json(report, kg="kg", requirement=requirement)) == dumped(
         oracle_fitness_json(report, kg="kg", requirement=requirement)
     )
     assert dumped(delta_json(delta, source="s", target="t")) == dumped(oracle_delta_json(delta, source="s", target="t"))
+
+
+@given(have=feature_maps, want=feature_maps)
+def test_every_report_splits_the_requirement_without_overlap(have, want):
+    profile, requirement = KgProfile("kg", have), RequirementSet("c", "t", want)
+    report = FitnessReport(profile, requirement)
+    assert report == evaluate_fitness(profile, requirement)
+    for dim, required in requirement.required.items():
+        assert report.satisfied[dim].isdisjoint(report.gap[dim]) and report.satisfied[dim] | report.gap[dim] == required
+    for dim, surplus in report.surplus.items():
+        assert surplus.isdisjoint(requirement.required.get(dim, frozenset()))
+        assert surplus | report.satisfied[dim] == profile.features.get(dim, frozenset())
 
 
 # a dimension tag where a Dimension belongs, beside a real key

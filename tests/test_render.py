@@ -118,10 +118,9 @@ def test_legend_csv_quotes_commas():
 
 def test_hand_built_legend_equals_the_lattice_legend_and_escapes_only_names():
     lattice = prag_prop_lattice()
-    # rows of lists become rows of two tuples, as legend() holds them
-    rows = [[list(objects), list(attributes)] for objects, attributes in lattice.names]
-    assert Legend(rows) == legend(lattice) and Legend(rows).rows == lattice.names
-    table = Legend([(["a|b"], [])])
+    assert Legend(lattice) == legend(lattice) and legend(lattice).rows is lattice.names
+    # one object named a|b with no attributes: its lattice is the single concept (a|b, ---)
+    table = Legend(build_lattice(FormalContext(Dimension.COMBINED, ("a|b",), (), ((),))))
     assert table.to_markdown().splitlines()[2] == "| c0 | a\\|b | --- |"
 
 

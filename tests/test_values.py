@@ -1,6 +1,8 @@
 """The value classes: immutable, equal and hashed by their fields, printed as Name(field=value, ...), and picklable."""
 
+import inspect
 import pickle
+from functools import cached_property
 from types import MappingProxyType
 
 import pytest
@@ -30,6 +32,7 @@ from kgcontinuum import (
     evaluate_fitness,
     join,
     meet,
+    object_concept,
     profile_of,
 )
 
@@ -40,7 +43,6 @@ SP, PA = Dimension.SEMANTIC_PROPERTY, Dimension.PRAGMATIC_AFFORDANCE
 names = st.sampled_from(["a", "b", " a "])
 name_sets = st.frozensets(st.sampled_from(["a", "b"]))
 feature_maps = st.dictionaries(st.sampled_from([SP, PA]), st.lists(names, max_size=2), max_size=2)
-frozen_maps = st.dictionaries(st.sampled_from([SP, PA]), name_sets, max_size=2).map(MappingProxyType)
 findings = st.builds(Finding, code=names, message=names, location=st.none() | names)
 contexts = contexts_strategy(max_objects=2, max_attributes=2)
 lattices = contexts.map(build_lattice)
@@ -56,8 +58,8 @@ def _corpus_fields(c):
     return {"contexts": MappingProxyType(contexts), "golden": MappingProxyType({d: enumerate_concepts(x) for d, x in contexts.items()})}
 
 
-# each value class, its fields in declaration order, and a strategy for its constructor's keyword arguments,
-# which are its fields, or for ConceptLattice, which computes the other two, the first of them
+# each value class, its fields in declaration order, and a strategy for its constructor's keyword arguments:
+# its fields, or what determines them for ConceptLattice, Legend and FitnessReport, which compute their fields
 VALUES = [
     (FormalContext, ("dimension", "objects", "attributes", "incidence"), contexts.map(
         lambda c: _fields(c, ("objects", "attributes", "incidence")) | {"dimension": c.dimension}
@@ -78,11 +80,11 @@ VALUES = [
     (Implication, ("premise", "conclusion"), st.fixed_dictionaries({"premise": name_sets, "conclusion": name_sets})),
     (ConceptLattice, ("context", "masks", "upper_covers"), contexts.map(lambda c: {"context": c})),
     (ProvenanceCorpus, ("contexts", "golden"), contexts.map(_corpus_fields)),
-    (Legend, ("rows",), lattices.map(lambda l: {"rows": l.names})),
+    (Legend, ("rows",), lattices.map(lambda l: {"lattice": l})),
     (KgProfile, ("kg", "features"), st.fixed_dictionaries({"kg": names, "features": feature_maps})),
     (RequirementSet, ("community", "task", "required"), st.fixed_dictionaries({"community": names, "task": names, "required": feature_maps})),
     (FitnessReport, ("satisfied", "gap", "surplus"), st.fixed_dictionaries({
-        "satisfied": frozen_maps, "gap": frozen_maps, "surplus": frozen_maps,
+        "profile": st.builds(KgProfile, names, feature_maps), "requirement": st.builds(RequirementSet, names, names, feature_maps),
     })),
     (FeatureDelta, ("add", "remove"), st.fixed_dictionaries({"add": name_sets, "remove": name_sets})),
     (CostModel, ("add_weight", "remove_weight", "overrides"), st.fixed_dictionaries({
@@ -90,8 +92,6 @@ VALUES = [
         "overrides": st.dictionaries(names, st.sampled_from([0.5, 3]), max_size=1),
     })),
 ]
-# the classes whose values pickle; CostModel holds a mappingproxy, which does not
-PICKLED = (FormalContext, FormalConcept, Implication, ValidationReport, RegistryEntry, FeatureDelta)
 
 
 def test_every_value_class_is_listed_once():
@@ -104,10 +104,10 @@ def test_every_value_class_is_listed_once():
 def test_value_classes_compare_hash_and_print_by_their_fields(cls, fields, kwargs, data):
     a, b = data.draw(kwargs), data.draw(kwargs)
     x, y = cls(**a), cls(**b)
-    assert x == cls(*(a[name] for name in fields if name in a))  # keyword and positional construction agree
+    # keyword and positional construction agree
+    assert x == cls(*(a[name] for name in inspect.signature(cls).parameters if name in a))
     values = tuple(getattr(x, name) for name in fields)
-    if cls is not FeatureRegistry:  # whose constructor also builds its name index
-        assert cls._of(*values) == x  # the builders' way past the checks gives the same value
+    assert cls._of(*values) == x  # the builders' way past the checks gives the same value
     assert (x == y) == (values == tuple(getattr(y, name) for name in fields))
     # a value of another class, even one holding the same field values, and the bare field tuple are never equal
     other_cls, _, other_kwargs = data.draw(st.sampled_from([row for row in VALUES if row[0] is not cls]))
@@ -129,10 +129,6 @@ def test_value_classes_compare_hash_and_print_by_their_fields(cls, fields, kwarg
             with pytest.raises(AttributeError):
                 delattr(x, name)
     assert tuple(getattr(x, name) for name in fields) == values
-    if cls in PICKLED:
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            copy = pickle.loads(pickle.dumps(x, protocol))
-            assert type(copy) is cls and copy == x
 
 
 def test_defaults_and_keyword_construction():
@@ -160,15 +156,38 @@ def test_cached_properties_are_computed_once_into_the_instance():
 
 @given(ctx=contexts_strategy(max_objects=4, max_attributes=4), required=st.frozensets(st.sampled_from(["m0", "m1", "m2", "x"])))
 def test_values_derive_what_their_fields_determine(ctx, required):
-    # a lattice is computed from its context alone, and a copy keeps the extent index its queries read
+    # a lattice is computed from its context alone, and a copy pickled after its queries have run answers them alike
     lattice = ConceptLattice(ctx)
     assert lattice == build_lattice(ctx) and ConceptLattice._fields == ("context", "masks", "upper_covers")
+    kgs = [object_concept(lattice, kg) for kg in ctx.objects]
     copy = pickle.loads(pickle.dumps(lattice))
     pairs = [(i, j) for i in range(len(lattice.masks)) for j in range(len(lattice.masks))]
     assert [(meet(copy, i, j), join(copy, i, j)) for i, j in pairs] == [(meet(lattice, i, j), join(lattice, i, j)) for i, j in pairs]
+    assert [object_concept(copy, kg) for kg in ctx.objects] == kgs
     # a report's fit is read from its gap, which no constructor argument can contradict
     assert FitnessReport._fields == ("satisfied", "gap", "surplus")
     if ctx.objects:
         profile = profile_of([FormalContext(SP, ctx.objects, ctx.attributes, ctx.incidence)], ctx.objects[-1])
         report = evaluate_fitness(profile, RequirementSet("c", "t", {SP: required}))
         assert report.fit == (not any(report.gap.values())) == (required <= profile.features[SP])
+
+
+def _cached_names(cls):
+    return [name for klass in cls.__mro__ for name, attr in vars(klass).items() if isinstance(attr, cached_property)]
+
+
+@pytest.mark.parametrize("cls,fields,kwargs", VALUES, ids=[cls.__name__ for cls, _, _ in VALUES])
+@given(data=st.data())
+def test_values_pickle_by_their_fields_after_their_cached_queries(cls, fields, kwargs, data):
+    x = cls(**data.draw(kwargs))
+    cached = {name: getattr(x, name) for name in _cached_names(cls)}
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(x, protocol))
+        assert type(copy) is cls and copy == x
+        # only the fields travel; each mapping field is a proxy again, and the queries are computed anew
+        assert not any(name in vars(copy) for name in cached)
+        assert [type(getattr(copy, name)) for name in fields] == [type(getattr(x, name)) for name in fields]
+        assert {name: getattr(copy, name) for name in cached} == cached
+    if cls is FeatureRegistry:  # whose get reads the name index that the copy builds again
+        assert [copy.get(e.name) for e in x.entries] == list(x.entries)
+
