@@ -55,7 +55,7 @@ def _fail(message: str) -> None:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out is not None:  # an empty path is a path, which fails as one
         data = text.encode("utf-8")  # encode before opening: no partial file
         try:
             Path(args.out).write_bytes(data)

@@ -52,9 +52,8 @@ class _Frozen:
 
     A field holds only what the value's other fields do not determine; what
     they do determine is a property or a cached_property. __init__ checks
-    and sets each field once through _set_field, or computes it, as
-    ConceptLattice computes its concepts from its context; a builder whose
-    fields are checked already uses _of.
+    and sets each field once through _set_field; a builder whose fields are
+    checked already uses _of.
 
     Two values are equal when they are of the same class and their field
     tuples are equal; the hash is that tuple's, and the repr lists the fields.
@@ -394,17 +393,29 @@ def _reject_constant(name: str):
     raise InputError("invalid-json", f"{name} is not a JSON number")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # a key repeated in one object is an error; json.loads alone keeps its last copy
+    doc = dict(pairs)
+    if len(doc) < len(pairs):  # name the first key met twice
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputError("invalid-json", f"duplicate key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def json_object(text: str, required: Iterable[str] = (), allowed: Iterable[str] | None = None) -> dict:
     """Parse text as one JSON object that holds every required key.
 
     When allowed is given, keys outside it are rejected too. Malformed
-    JSON, NaN and Infinity literals, nesting too deep to decode and
-    strings holding a lone surrogate raise InputError("invalid-json"); a
-    wrong shape raises "schema-violation".
+    JSON, a key repeated in one object, NaN and Infinity literals, nesting
+    too deep to decode and strings holding a lone surrogate raise
+    InputError("invalid-json"); a wrong shape raises "schema-violation".
     """
     _typed(text, str, "a JSON document must be a string")
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_reject_constant)
         if "\\u" in text:  # only a \u escape puts a lone surrogate, which no output can encode, into a string
             json.dumps(doc, ensure_ascii=False).encode()
     except UnicodeEncodeError as exc:  # a ValueError too, so it is caught first
@@ -585,7 +596,6 @@ class FeatureRegistry(_Frozen):
                     location=entry.name,
                 )
         _set_field(self, "entries", tuple(by_name.values()))
-        _set_field(self, "_by_name", by_name)  # the cached property below, built once
 
     @cached_property
     def _by_name(self) -> dict[str, RegistryEntry]:

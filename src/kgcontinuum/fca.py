@@ -185,7 +185,7 @@ def enumerate_concepts(ctx: FormalContext) -> tuple[FormalConcept, ...]:
     so the order is total.
     """
     _typed(ctx, FormalContext, "a context must be a FormalContext")
-    return tuple(FormalConcept(_obj_names(ctx, e), _attr_names(ctx, i)) for e, i in _concept_masks(ctx))
+    return ConceptLattice._of(ctx).concepts
 
 
 # --- lattice --------------------------------------------------------------
@@ -194,22 +194,28 @@ def enumerate_concepts(ctx: FormalContext) -> tuple[FormalConcept, ...]:
 class ConceptLattice(_Frozen):
     """The concept lattice of a context: its concepts in canonical order, as (extent, intent) bitmask pairs, and their upper covers.
 
-    The constructor computes masks and upper_covers from the context, so no
-    value holds a lattice that is not its context's. upper_covers[i] lists
+    Its one field is the context: masks and upper_covers derive from it, so
+    no value holds a lattice that is not its context's. upper_covers[i] lists
     concept i's upper covers in increasing order. concepts, covers ((lower,
     upper) pairs) and names (in declaration order) derive from these on
     first use. By extent size, the bottom comes first and the top last.
     """
 
     context: FormalContext
-    masks: tuple[tuple[int, int], ...]
-    upper_covers: tuple[tuple[int, ...], ...]
     bottom_index = 0
 
     def __init__(self, context: FormalContext) -> None:
-        """Enumerate the concepts and compute the cover relation.
+        _set_field(self, "context", _typed(context, FormalContext, "a context must be a FormalContext"))
+        self.upper_covers  # read now, so a build does its work inside its call; _of and unpickling defer it
 
-        Covers follow Lindig's neighbour rule ("Fast Concept Analysis", 2000).
+    @cached_property
+    def masks(self) -> tuple[tuple[int, int], ...]:
+        return tuple(_concept_masks(self.context))
+
+    @cached_property
+    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
+        """The cover relation, by Lindig's neighbour rule ("Fast Concept Analysis", 2000).
+
         For a concept (A, B) and an attribute m outside B, A & m' is the extent
         of a concept, found by one dict lookup. It is a lower cover unless its
         intent holds an attribute, other than m, that is still in the running
@@ -218,10 +224,9 @@ class ConceptLattice(_Frozen):
         pairs of concepts. Uppers are visited in increasing index, so every
         list of upper covers comes out in order.
         """
-        pairs = _concept_masks(_typed(context, FormalContext, "a context must be a FormalContext"))
-        index_of = {extent: i for i, (extent, _) in enumerate(pairs)}
+        pairs, index_of = self.masks, self._index_by_extent
         intents = [intent for _, intent in pairs]
-        attrs = [(1 << m, column) for m, column in enumerate(context.column_masks)]
+        attrs = [(1 << m, column) for m, column in enumerate(self.context.column_masks)]
         full = (1 << len(attrs)) - 1
         ups: list[list[int]] = [[] for _ in pairs]
         for up, (extent, intent) in enumerate(pairs):
@@ -232,10 +237,7 @@ class ConceptLattice(_Frozen):
                     ups[lo].append(up)
                 else:
                     minimal ^= bit
-        _set_field(self, "context", context)
-        _set_field(self, "masks", tuple(pairs))
-        _set_field(self, "upper_covers", tuple(map(tuple, ups)))
-        _set_field(self, "_index_by_extent", index_of)  # the cached property below, built once
+        return tuple(map(tuple, ups))
 
     @property
     def top_index(self) -> int:

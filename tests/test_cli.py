@@ -152,6 +152,14 @@ def test_validate_malformed_file(capsys, tmp_path):
     assert doc["errors"][0]["location"] == "line 7"
 
 
+def test_validate_reports_a_repeated_key_as_invalid_json(capsys, tmp_path):
+    path = tmp_path / "repeated.json"
+    path.write_text('{"dimension": "combined", "objects": ["g"], "objects": ["h"], "attributes": ["m"], "incidence": [[1]]}')
+    code, out, _ = run(capsys, "validate", "--context", str(path))
+    assert code == 1
+    assert json.loads(out)["errors"] == [{"code": "invalid-json", "message": "duplicate key 'objects'", "location": None}]
+
+
 def test_corpus_export_json_round_trip(capsys):
     code, out, _ = run(capsys, "corpus", "export", "--dimension", "semantic-property", "--format", "json")
     assert code == 0
@@ -435,6 +443,18 @@ def test_a_failed_write_is_one_coded_error_line(capsys):
     code, out, err = run(capsys, "lattice", "--corpus", "builtin", "--dimension", "combined", "--out", "/dev/full")
     assert (code, out) == (1, "")
     assert err == f"error: io-error: {os.strerror(errno.ENOSPC)}: '/dev/full'\n"
+
+
+# an empty --out is a path naming no file, not a request for stdout
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--corpus", "builtin", "--dimension", "combined"],
+    ["validate", "--corpus", "builtin", "--dimension", "combined"],
+    ["corpus", "verify"],
+], ids=["lattice", "validate", "corpus-verify"])
+def test_an_empty_out_path_is_one_coded_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", "")
+    assert (code, out) == (1, "")
+    assert err == f"error: io-error: {os.strerror(errno.EISDIR)}: ''\n"
 
 
 @pytest.mark.parametrize("command", ["fit", "delta"])

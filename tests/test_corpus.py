@@ -192,6 +192,9 @@ CORRUPT_PAYLOADS = [
     ("not-an-object", lambda: "[1]", "unreadable: schema-violation: top level must be an object"),
     ("missing-section", lambda: json.dumps({"contexts": [], "golden": {}}), "unreadable: schema-violation: missing keys: 'checksum'"),
     ("duplicate-object", lambda: _resealed(_duplicate_object), "unreadable: duplicate-object:"),
+    # the last copy of the key is the right checksum, which json.loads alone would accept
+    ("duplicate-key", lambda: _resealed(lambda d: None).replace('"checksum": ', '"checksum": "stale", "checksum": ', 1),
+     "unreadable: invalid-json: duplicate key 'checksum'"),
     ("unknown-golden-tag", lambda: _resealed(_unknown_golden_tag), "unreadable: unknown-dimension:"),
     ("missing-context", lambda: _resealed(lambda d: d["contexts"].pop()), "missing context for"),
     ("wrong-roster", lambda: _resealed(_reversed_roster), "object roster of semantic-property does not match"),

@@ -445,6 +445,19 @@ def test_json_parsers_reject_deep_nesting_and_constants(parse, payload):
     assert err.value.code == "invalid-json"
 
 
+@pytest.mark.parametrize("parse,payload,key", [
+    (parse_json_context, '{"dimension": "combined", "objects": ["g"], "objects": [], "attributes": [], "incidence": []}', "objects"),
+    (cost_model_from_json, '{"overrides": {"SHACL": 1, "SHACL": 5}}', "SHACL"),
+    (cost_model_from_json, '{"add_weight": 1, "add_weight": 1}', "add_weight"),
+    (requirement_from_json, '{"community": "c", "task": "t", "required": {"semantic-property": ["a"], "semantic-property": ["b"]}}', "semantic-property"),
+])
+def test_json_readers_reject_a_repeated_key(parse, payload, key):
+    # at any depth, even with equal copies: json.loads would keep the last one
+    with pytest.raises(InputError) as err:
+        parse(payload)
+    assert (err.value.code, err.value.message) == ("invalid-json", f"duplicate key {key!r}")
+
+
 # each weight as a cost-model document writes it (None where JSON cannot) and as CostModel gets it
 @pytest.mark.parametrize("text,fields,code", [
     ('{"add_weight": true}', {"add_weight": True}, "schema-violation"),

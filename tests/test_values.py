@@ -78,7 +78,7 @@ VALUES = [
     })),
     (FormalConcept, ("extent", "intent"), st.fixed_dictionaries({"extent": name_sets, "intent": name_sets})),
     (Implication, ("premise", "conclusion"), st.fixed_dictionaries({"premise": name_sets, "conclusion": name_sets})),
-    (ConceptLattice, ("context", "masks", "upper_covers"), contexts.map(lambda c: {"context": c})),
+    (ConceptLattice, ("context",), contexts.map(lambda c: {"context": c})),
     (ProvenanceCorpus, ("contexts", "golden"), contexts.map(_corpus_fields)),
     (Legend, ("rows",), lattices.map(lambda l: {"lattice": l})),
     (KgProfile, ("kg", "features"), st.fixed_dictionaries({"kg": names, "features": feature_maps})),
@@ -158,7 +158,7 @@ def test_cached_properties_are_computed_once_into_the_instance():
 def test_values_derive_what_their_fields_determine(ctx, required):
     # a lattice is computed from its context alone, and a copy pickled after its queries have run answers them alike
     lattice = ConceptLattice(ctx)
-    assert lattice == build_lattice(ctx) and ConceptLattice._fields == ("context", "masks", "upper_covers")
+    assert lattice == build_lattice(ctx) and ConceptLattice._fields == ("context",)
     kgs = [object_concept(lattice, kg) for kg in ctx.objects]
     copy = pickle.loads(pickle.dumps(lattice))
     pairs = [(i, j) for i in range(len(lattice.masks)) for j in range(len(lattice.masks))]
@@ -170,6 +170,20 @@ def test_values_derive_what_their_fields_determine(ctx, required):
         profile = profile_of([FormalContext(SP, ctx.objects, ctx.attributes, ctx.incidence)], ctx.objects[-1])
         report = evaluate_fitness(profile, RequirementSet("c", "t", {SP: required}))
         assert report.fit == (not any(report.gap.values())) == (required <= profile.features[SP])
+
+
+@given(ctx=contexts_strategy(max_objects=4, max_attributes=4))
+def test_a_lattice_holds_its_context_and_derives_the_rest_on_first_read(ctx):
+    built = ConceptLattice(ctx)
+    assert "upper_covers" in vars(built)  # the constructor builds inside its call
+    assert len(pickle.dumps(built)) <= len(pickle.dumps(ctx)) + 100  # only the context travels
+    n = len(built.masks)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    for lattice in (ConceptLattice._of(ctx), pickle.loads(pickle.dumps(built))):
+        assert list(vars(lattice)) == ["context"]
+        assert (lattice.masks, lattice.upper_covers) == (built.masks, built.upper_covers)
+        assert [(meet(lattice, i, j), join(lattice, i, j)) for i, j in pairs] == [(meet(built, i, j), join(built, i, j)) for i, j in pairs]
+        assert [object_concept(lattice, kg) for kg in ctx.objects] == [object_concept(built, kg) for kg in ctx.objects]
 
 
 def _cached_names(cls):
