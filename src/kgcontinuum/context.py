@@ -667,7 +667,8 @@ def merge_contexts(contexts: Sequence[FormalContext]) -> FormalContext:
     """Merge per-dimension contexts over one object set into a combined context.
 
     Attributes are qualified as ``<dimension>:<name>`` so the merged columns
-    stay pairwise distinct; incidence is concatenated horizontally.
+    stay pairwise distinct, and FormalContext rejects a name two contexts of
+    one dimension share (duplicate-attribute); incidence is concatenated horizontally.
     """
     contexts = _contexts(contexts)
     if not contexts:
@@ -676,15 +677,9 @@ def merge_contexts(contexts: Sequence[FormalContext]) -> FormalContext:
     for ctx in contexts[1:]:
         if ctx.objects != base:
             raise InputError("object-mismatch", "contexts disagree on the object set or its order")
-    attrs: dict[str, None] = {}  # a dict as an ordered set
-    for ctx in contexts:
-        for a in ctx.attributes:
-            qualified = f"{ctx.dimension.value}:{a}"
-            if qualified in attrs:
-                raise InputError("attribute-collision", f"duplicate qualified attribute {qualified!r}", location=qualified)
-            attrs[qualified] = None
+    attrs = [f"{ctx.dimension.value}:{a}" for ctx in contexts for a in ctx.attributes]
     rows = tuple(
         tuple(v for ctx in contexts for v in ctx.incidence[i])
         for i in range(len(base))
     )
-    return FormalContext(Dimension.COMBINED, base, tuple(attrs), rows)
+    return FormalContext(Dimension.COMBINED, base, attrs, rows)

@@ -70,7 +70,7 @@ class ProvenanceCorpus(_Frozen):
     The constructor checks that contexts maps exactly the PER_DIMENSION
     axes, each to a FormalContext of that dimension, and that golden maps
     the same four, each to a collection of FormalConcept values, which it
-    stores as a tuple; load_corpus builds with _of.
+    stores as a tuple.
     """
 
     contexts: Mapping[Dimension, FormalContext]
@@ -133,11 +133,10 @@ def load_corpus() -> ProvenanceCorpus:
             ctx = FormalContext(Dimension.from_tag(raw["dimension"]), raw["objects"], raw["attributes"], raw["incidence"])
             contexts[ctx.dimension] = ctx
         golden = {
-            Dimension.from_tag(tag): tuple(
-                FormalConcept(frozenset(pair["extent"]), frozenset(pair["intent"])) for pair in pairs
-            )
+            Dimension.from_tag(tag): [FormalConcept(pair["extent"], pair["intent"]) for pair in pairs]
             for tag, pairs in doc["golden"].items()
         }
+        corpus = ProvenanceCorpus(contexts, golden)
     except (OSError, UnicodeDecodeError, InputError) as exc:
         raise _corrupt(f"embedded corpus unreadable: {exc}") from None
     # the block reads sealed package data only, so a lookup or a conversion that fails on
@@ -146,19 +145,12 @@ def load_corpus() -> ProvenanceCorpus:
         raise _corrupt(f"embedded corpus has the wrong shape: {type(exc).__name__}: {exc}") from None
 
     for dim, expected in _ATTRIBUTE_COUNTS.items():
-        ctx = contexts.get(dim)
-        if ctx is None:
-            raise _corrupt(f"missing context for {dim.value}")
+        ctx = corpus.contexts[dim]
         if ctx.objects != KG_NAMES:
             raise _corrupt(f"object roster of {dim.value} does not match the case study")
         if len(ctx.attributes) != expected:
             raise _corrupt(f"{dim.value} should have {expected} attributes, found {len(ctx.attributes)}")
-        if dim not in golden:
-            raise _corrupt(f"missing golden concepts for {dim.value}")
-
-    return ProvenanceCorpus._of(
-        MappingProxyType({d: contexts[d] for d in PER_DIMENSION}), MappingProxyType({d: golden[d] for d in PER_DIMENSION})
-    )
+    return corpus
 
 
 def _describe(concept: FormalConcept) -> str:

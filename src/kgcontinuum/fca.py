@@ -12,19 +12,23 @@ from functools import cached_property, reduce
 from itertools import accumulate, compress
 from operator import and_, or_
 
-from .context import FormalContext, _bits, _collection, _Frozen, _instances, _set_field, _typed
+from .context import FormalContext, _bits, _collection, _Frozen, _instances, _set_field, _typed, normalize_name
 from .errors import InputError
 
 
 class FormalConcept(_Frozen):
-    """A Galois fixpoint: the extent derives the intent and vice versa."""
+    """A Galois fixpoint: the extent derives the intent and vice versa.
+
+    The constructor normalizes every name, as FeatureDelta's does;
+    ConceptLattice.concepts builds with _of.
+    """
 
     extent: frozenset[str]
     intent: frozenset[str]
 
-    def __init__(self, extent: frozenset[str], intent: frozenset[str]) -> None:
-        _set_field(self, "extent", extent)
-        _set_field(self, "intent", intent)
+    def __init__(self, extent: Iterable[str], intent: Iterable[str]) -> None:
+        _set_field(self, "extent", frozenset(map(normalize_name, _collection(extent, "an extent"))))
+        _set_field(self, "intent", frozenset(map(normalize_name, _collection(intent, "an intent"))))
 
 
 class Implication(_Frozen):
@@ -245,7 +249,7 @@ class ConceptLattice(_Frozen):
 
     @cached_property
     def concepts(self) -> tuple[FormalConcept, ...]:
-        return tuple(FormalConcept(frozenset(e), frozenset(i)) for e, i in self.names)
+        return tuple(FormalConcept._of(frozenset(e), frozenset(i)) for e, i in self.names)
 
     @cached_property
     def covers(self) -> frozenset[tuple[int, int]]:
@@ -269,7 +273,7 @@ class ConceptLattice(_Frozen):
             raise InputError("unknown-extent", f"no concept has extent {sorted(names, key=str)}") from None
 
     def _concept_at(self, index: int) -> tuple[int, int]:
-        if not (isinstance(index, int) and 0 <= index < len(self.masks)):
+        if not (isinstance(index, int) and not isinstance(index, bool) and 0 <= index < len(self.masks)):
             raise InputError("index-out-of-range", f"concept index {index!r} out of range 0..{len(self.masks) - 1}")
         return self.masks[index]
 

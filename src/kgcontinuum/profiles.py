@@ -291,12 +291,21 @@ def _features_json(features: Mapping[Dimension, frozenset[str]]) -> dict[str, li
     return {_TAG[d]: sorted(feats) for d, feats in features.items()}  # every report's maps are in Dimension order
 
 
+def _cost(value: float) -> float:
+    """value; a bool or another non-number is a schema-violation, and NaN or an infinity, which JSON lacks, is invalid-weight."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError("schema-violation", f"a cost must be a number, not {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InputError("invalid-weight", "a cost must be a finite number")
+    return value
+
+
 def fitness_json(report: FitnessReport, *, kg: str, requirement: RequirementSet, cost: float | None = None) -> dict:
     """JSON-ready dict mirroring the report fields, plus cost when priced."""
     _typed(report, FitnessReport, "a report must be a FitnessReport")
     _typed(requirement, RequirementSet, "a requirement must be a RequirementSet")
     doc = {
-        "kg": kg,
+        "kg": _typed(kg, str, "a KG name must be a string"),
         "community": requirement.community,
         "task": requirement.task,
         "fit": report.fit,
@@ -305,7 +314,7 @@ def fitness_json(report: FitnessReport, *, kg: str, requirement: RequirementSet,
         "surplus": _features_json(report.surplus),
     }
     if cost is not None:
-        doc["cost"] = cost
+        doc["cost"] = _cost(cost)
     return doc
 
 
@@ -315,8 +324,8 @@ def delta_json(delta: Mapping[Dimension, FeatureDelta], *, source: str, target: 
         _typed(d, Dimension, "delta keys must be Dimension members")
         _typed(change, FeatureDelta, "delta values must be FeatureDelta values")
     return {
-        "source": source,
-        "target": target,
+        "source": _typed(source, str, "a source KG name must be a string"),
+        "target": _typed(target, str, "a target KG name must be a string"),
         "delta": {
             _TAG[d]: {"add": sorted(delta[d].add), "remove": sorted(delta[d].remove)}
             for d in _dimensions(delta)

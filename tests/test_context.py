@@ -709,7 +709,7 @@ def test_merge_attribute_collision():
     b = FormalContext(Dimension.SEMANTIC_PROPERTY, ("g",), ("m",), ((False,),))
     with pytest.raises(InputError) as err:
         merge_contexts([a, b])
-    assert err.value.code == "attribute-collision"
+    assert err.value.code == "duplicate-attribute"
 
 
 def test_merge_empty():

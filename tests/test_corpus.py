@@ -15,8 +15,10 @@ from kgcontinuum import (
     Dimension,
     FormalConcept,
     FormalContext,
+    InputError,
     IntegrityError,
     ProvenanceCorpus,
+    ValidationReport,
     load_corpus,
     merge_contexts,
     verify_corpus,
@@ -112,6 +114,30 @@ def test_verify_detects_fabricated_golden_row():
     assert [f.code for f in report.errors] == ["stale-golden-concept"]
 
 
+# a golden concept's names, rewritten: whitespace around a name normalizes away, and a name that is not a string is no name
+GOLDEN_REWRITES = [
+    ("padded", lambda names: [f" {name}\t" for name in names], None),
+    ("list", lambda names: [list(names)], "schema-violation"),
+    ("int", lambda names: [1], "schema-violation"),
+    ("mixed", lambda names: [*names, 1], "schema-violation"),
+]
+
+
+@pytest.mark.parametrize("rewrite,code", [row[1:] for row in GOLDEN_REWRITES], ids=[row[0] for row in GOLDEN_REWRITES])
+def test_verify_reads_golden_names_as_the_concept_normalizes_them(rewrite, code):
+    c = corpus()
+
+    def golden():
+        return {d: [FormalConcept(rewrite(sorted(g.extent)), rewrite(sorted(g.intent))) for g in c.golden[d]] for d in PER_DIMENSION}
+
+    if code is None:
+        assert verify_corpus(ProvenanceCorpus(c.contexts, golden())) == ValidationReport((), ())
+    else:
+        with pytest.raises(InputError) as err:
+            golden()
+        assert err.value.code == code
+
+
 def _serve(monkeypatch, payload):
     """Make load_corpus read payload, text or bytes, in place of the shipped file."""
     data = payload if isinstance(payload, bytes) else payload.encode("utf-8")
@@ -196,17 +222,17 @@ CORRUPT_PAYLOADS = [
     ("duplicate-key", lambda: _resealed(lambda d: None).replace('"checksum": ', '"checksum": "stale", "checksum": ', 1),
      "unreadable: invalid-json: duplicate key 'checksum'"),
     ("unknown-golden-tag", lambda: _resealed(_unknown_golden_tag), "unreadable: unknown-dimension:"),
-    ("missing-context", lambda: _resealed(lambda d: d["contexts"].pop()), "missing context for"),
+    ("missing-context", lambda: _resealed(lambda d: d["contexts"].pop()), "unreadable: schema-violation: corpus contexts must be keyed by exactly the four per-dimension axes"),
     ("wrong-roster", lambda: _resealed(_reversed_roster), "object roster of semantic-property does not match"),
     ("wrong-attribute-count", lambda: _resealed(_dropped_attribute), "semantic-affordance should have 10 attributes, found 9"),
-    ("missing-golden", lambda: _resealed(lambda d: d["golden"].pop("pragmatic-affordance")), "missing golden concepts for pragmatic-affordance"),
+    ("missing-golden", lambda: _resealed(lambda d: d["golden"].pop("pragmatic-affordance")), "unreadable: schema-violation: corpus golden concept sets must be keyed by exactly the four per-dimension axes"),
     ("context-without-objects", lambda: _resealed(lambda d: d["contexts"][0].pop("objects")), "wrong shape: KeyError: 'objects'"),
     ("context-as-list", lambda: _resealed(_context_as_list), "wrong shape: TypeError:"),
     ("contexts-as-object", lambda: _resealed(lambda d: d.update(contexts={c["dimension"]: c for c in d["contexts"]})), "wrong shape: TypeError:"),
     ("golden-as-list", lambda: _resealed(lambda d: d.update(golden=list(d["golden"].values()))), "wrong shape: AttributeError:"),
     ("golden-pair-as-list", lambda: _resealed(_golden_pair_as_list), "wrong shape: TypeError:"),
     ("golden-pair-without-intent", lambda: _resealed(lambda d: d["golden"]["semantic-property"][0].pop("intent")), "wrong shape: KeyError: 'intent'"),
-    ("extent-holding-a-list", lambda: _resealed(lambda d: d["golden"]["semantic-property"][0]["extent"].append(["Europeana"])), "wrong shape: TypeError:"),
+    ("extent-holding-a-list", lambda: _resealed(lambda d: d["golden"]["semantic-property"][0]["extent"].append(["Europeana"])), "unreadable: schema-violation: a name must be a string, not list"),
 ]
 
 

@@ -292,6 +292,7 @@ CONSTRUCTORS = [
         st.none() | st.lists(names, max_size=3),
     ]),
     (Implication, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
+    (FormalConcept, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
     (delta_of_one_dimension, [st.frozensets(names, max_size=3) | st.lists(names, max_size=3)] * 2),
     (rendered_legend, [contexts_strategy(max_objects=2, max_attributes=2)]),
     (rendered_lattice, [contexts_strategy(max_objects=2, max_attributes=2)]),
@@ -363,6 +364,37 @@ def test_queries_raise_only_input_errors(query, typed, data):
         pass
 
 
+not_a_name = json_values.filter(lambda value: not isinstance(value, str))
+
+
+@st.composite
+def golden_sides(draw):
+    """The extent and intent of a concept of CTX, each name as declared or padded with whitespace, and maybe a value that is no name."""
+    sides = [[draw(st.sampled_from([name, f" {name}\u3000", f"{name}\t"])) for name in names] for names in draw(st.sampled_from(LATTICE.names))]
+    if draw(st.booleans()):
+        side = draw(st.sampled_from(sides))
+        side.insert(draw(st.integers(0, len(side))), draw(not_a_name))
+    return sides
+
+
+CORPUS_CONCEPTS = {d: set(enumerate_concepts(CONTEXTS[d])) for d in PER_DIMENSION}
+
+
+@fuzz_settings(100)
+@given(sides=golden_sides())
+def test_verify_corpus_reads_golden_concepts_of_any_names(sides):
+    try:
+        concept = FormalConcept(*sides)
+    except InputError:
+        assert not all(isinstance(name, str) for side in sides for name in side)
+        return
+    # its names normalize back to the concept of CTX, so the concept is stale exactly where it is no concept
+    assert concept in CORPUS_CONCEPTS[CTX.dimension]
+    report = verify_corpus(ProvenanceCorpus(CONTEXTS, {d: [*corpus().golden[d], concept] for d in PER_DIMENSION}))
+    stale = [d.value for d in PER_DIMENSION if concept not in CORPUS_CONCEPTS[d]]
+    assert [(f.code, f.location) for f in report.errors] == [("stale-golden-concept", location) for location in stale]
+
+
 # each query that takes a collection of names, given a bare string, which would read as its characters;
 # register_feature given a dimension tag instead of a Dimension; from_feature_sets given two keys
 # that normalize to one object; the registry types given what the registry rules forbid; and the
@@ -416,6 +448,12 @@ REJECTED = [
     ("ProvenanceCorpus-tag-keys", lambda: ProvenanceCorpus({d.value: c for d, c in CONTEXTS.items()}, corpus().golden), "schema-violation"),
     ("ProvenanceCorpus-string-golden", lambda: ProvenanceCorpus(CONTEXTS, {d: "ab" for d in PER_DIMENSION}), "schema-violation"),
     ("RegistryEntry-empty-introduced-by", lambda: RegistryEntry("x", SP, "  "), "empty-name"),
+    ("FormalConcept-string", lambda: FormalConcept("ab", ()), "schema-violation"),
+    ("verify_corpus-numbers", lambda: verify_corpus(ProvenanceCorpus(CONTEXTS, {d: [FormalConcept([1], [2])] for d in PER_DIMENSION})), "schema-violation"),
+    ("meet-bool", lambda: meet(LATTICE, True, False), "index-out-of-range"),
+    ("join-bool", lambda: join(LATTICE, 0, True), "index-out-of-range"),
+    ("fitness_json-nan-cost", lambda: fitness_json(REPORT, kg="x", requirement=REQUIREMENT, cost=float("nan")), "invalid-weight"),
+    ("fitness_json-infinite-cost", lambda: fitness_json(REPORT, kg="x", requirement=REQUIREMENT, cost=-float("inf")), "invalid-weight"),
     ("register_feature-empty-introduced-by", lambda: register_feature(FeatureRegistry(), "x", SP, introduced_by="  "), "empty-name"),
 ]
 
@@ -451,6 +489,13 @@ WRONG_TYPES = [
     ("delta_json-value", lambda: delta_json({SP: 2}, source="a", target="b"), "int"),
     ("FeatureDelta-sides", lambda: delta_json({SP: FeatureDelta(5, 6)}, source="a", target="b"), "int"),
     ("FeatureDelta-name", lambda: FeatureDelta([], [None]), "NoneType"),
+    ("FormalConcept-sides", lambda: FormalConcept(5, 6), "int"),
+    ("FormalConcept-name", lambda: FormalConcept([], [["m"]]), "list"),
+    ("fitness_json-kg", lambda: fitness_json(REPORT, kg=5, requirement=REQUIREMENT), "int"),
+    ("fitness_json-cost", lambda: fitness_json(REPORT, kg="x", requirement=REQUIREMENT, cost=True), "bool"),
+    ("fitness_json-cost-text", lambda: fitness_json(REPORT, kg="x", requirement=REQUIREMENT, cost="1"), "str"),
+    ("delta_json-source", lambda: delta_json({}, source=None, target="b"), "NoneType"),
+    ("delta_json-target", lambda: delta_json({}, source="a", target=["x"]), "list"),
     ("Legend-lattice", lambda: Legend(5), "int"),
     ("ConceptLattice-context", lambda: ConceptLattice(5), "int"),
     ("FitnessReport-profile", lambda: FitnessReport(5, RequirementSet("c", "t", {})), "int"),
