@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import stat
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -58,13 +59,29 @@ def _emit(args, text: str) -> None:
     if args.out is not None:  # an empty path is a path, which fails as one
         data = text.encode("utf-8")  # encode before opening: no partial file
         try:
-            Path(args.out).write_bytes(data)
+            _write(Path(args.out), data)
         except OSError as exc:  # a failed write names no file; name the one given
             raise OSError(exc.errno, exc.strerror, args.out) from None
     elif sys.stdout is None:  # the process started with stdout closed
         raise InputError("closed-stdout", "standard output is closed; use --out")
     else:
         sys.stdout.write(text)
+
+
+def _write(path: Path, data: bytes) -> None:
+    """Write data to path; a write or close that fails unlinks the regular file it opened, through a symlink."""
+    out = path.open("wb")  # an open that fails leaves the path as it was
+    regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)  # a device such as /dev/full is never unlinked
+    try:
+        with out:
+            out.write(data)
+    except BaseException:
+        if regular:
+            try:
+                os.unlink(os.path.realpath(path))
+            except OSError:
+                pass  # the write's own error is the one to report
+        raise
 
 
 # --- input resolution ---------------------------------------------------------

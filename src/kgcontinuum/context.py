@@ -164,9 +164,19 @@ def _collection(items: Iterable, what: str) -> tuple:
 
     A string or a mapping iterates as characters or keys, not as the items meant.
     """
+    if type(items) in (list, tuple):  # the usual case, in one type test: neither a str nor a Mapping
+        return tuple(items)
     if isinstance(items, (str, Mapping)) or not isinstance(items, Iterable):
         raise InputError("schema-violation", f"{what} must be a collection, not {type(items).__name__}")
     return tuple(items)
+
+
+def _lookup(index: Mapping[str, int], name: str, kind: str) -> int:
+    """index[name]; a name outside index, or an unhashable one, raises InputError("unknown-<kind>")."""
+    try:
+        return index[name]
+    except (KeyError, TypeError):
+        raise InputError(f"unknown-{kind}", f"unknown {kind} {name!r}") from None
 
 
 def _instances(items: Iterable, kind: type, what: str) -> tuple:
@@ -254,17 +264,12 @@ class FormalContext(_Frozen):
 
     def features_of(self, obj: str) -> frozenset[str]:
         """Attributes incident to one object."""
-        name = normalize_name(obj)
-        if name not in self.object_index:
-            raise InputError("unknown-object", f"unknown object {obj!r}")
-        return frozenset(compress(self.attributes, self.incidence[self.object_index[name]]))
+        return frozenset(compress(self.attributes, self.incidence[_lookup(self.object_index, normalize_name(obj), "object")]))
 
     def holders_of(self, attr: str) -> frozenset[str]:
         """Objects incident to one attribute, read from its column mask."""
-        name = normalize_name(attr)
-        if name not in self.attribute_index:
-            raise InputError("unknown-attribute", f"unknown attribute {attr!r}")
-        return frozenset(compress(self.objects, _bits(self.column_masks[self.attribute_index[name]])))
+        column = self.column_masks[_lookup(self.attribute_index, normalize_name(attr), "attribute")]
+        return frozenset(compress(self.objects, _bits(column)))
 
     @classmethod
     def from_feature_sets(

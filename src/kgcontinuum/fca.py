@@ -12,7 +12,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, compress
 from operator import and_, or_
 
-from .context import FormalContext, _bits, _collection, _Frozen, _instances, _set_field, _typed, normalize_name
+from .context import FormalContext, _bits, _collection, _Frozen, _instances, _lookup, _set_field, _typed, normalize_name
 from .errors import InputError
 
 
@@ -57,10 +57,7 @@ def _name_set(names: Iterable[str], what: str) -> frozenset[str]:
 def _names_mask(index: Mapping[str, int], names: Iterable[str], kind: str) -> int:
     mask = 0
     for name in _collection(names, f"{kind} names"):
-        try:
-            mask |= 1 << index[name]
-        except (KeyError, TypeError):  # a name outside the context, or an unhashable one
-            raise InputError(f"unknown-{kind}", f"unknown {kind} {name!r}") from None
+        mask |= 1 << _lookup(index, name, kind)
     return mask
 
 

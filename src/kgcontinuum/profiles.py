@@ -14,6 +14,7 @@ from .context import (
     _collection,
     _contexts,
     _Frozen,
+    _lookup,
     _set_field,
     _typed,
     json_object,
@@ -173,10 +174,7 @@ def profile_of(contexts: Iterable[FormalContext], kg: str) -> KgProfile:
     name = normalize_name(kg)
     features: dict[Dimension, frozenset[str]] = {}
     for ctx in _contexts(contexts):
-        row = ctx.object_index.get(name)
-        if row is None:
-            raise InputError("unknown-object", f"unknown object {name!r}")
-        exhibited = frozenset(compress(ctx.attributes, ctx.incidence[row]))
+        exhibited = frozenset(compress(ctx.attributes, ctx.incidence[_lookup(ctx.object_index, name, "object")]))
         dim = ctx.dimension
         features[dim] = features[dim] | exhibited if dim in features else exhibited
     if not features:

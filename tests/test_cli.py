@@ -422,6 +422,13 @@ def test_context_and_corpus_conflict(capsys, cxt_file):
     assert "conflicting-input" in err
 
 
+@pytest.mark.parametrize("argv", [["fit", "--require", "req.json"], ["delta", "--to-kg", "Wikidata"]], ids=["fit", "delta"])
+def test_profile_context_and_corpus_conflict(capsys, cxt_file, argv):
+    code, out, err = run(capsys, *argv, "--kg", "LOV", "--context", cxt_file, "--corpus", "builtin")
+    assert (code, out) == (1, "")
+    assert err == "error: conflicting-input: use either --corpus or --context, not both\n"
+
+
 @pytest.mark.parametrize("argv", [["lattice"], ["fit", "--kg", "LOV", "--require", "req.json"]], ids=["single", "fit"])
 def test_no_context_source_exits_one(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -443,6 +450,43 @@ def test_a_failed_write_is_one_coded_error_line(capsys):
     code, out, err = run(capsys, "lattice", "--corpus", "builtin", "--dimension", "combined", "--out", "/dev/full")
     assert (code, out) == (1, "")
     assert err == f"error: io-error: {os.strerror(errno.ENOSPC)}: '/dev/full'\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_FSIZE caps a process's file writes on Linux")
+@pytest.mark.parametrize("out", ["new", "existing", "symlink"])
+def test_a_write_cut_short_leaves_no_file(tmp_path, out):
+    import resource
+
+    cap = 4096  # the lattice document is about 87 KB, so the write fails part-way with EFBIG
+    target = tmp_path / "lattice.json"
+    if out == "existing":
+        target.write_text("an older document\n")
+    name = "link.json" if out == "symlink" else target.name
+    if out == "symlink":
+        (tmp_path / name).symlink_to(target)
+    proc = subprocess.run(
+        # -B: under the cap the interpreter would cache a truncated .pyc of any module it compiles
+        [sys.executable, "-B", "-m", "kgcontinuum", "lattice", "--corpus", "builtin", "--dimension", "combined", "--out", name],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (cap, cap)),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: io-error: {os.strerror(errno.EFBIG)}: {name!r}\n"
+    assert not target.exists()
+    assert (tmp_path / name).is_symlink() == (out == "symlink")  # a symlink stays; the file it named goes
+
+
+def test_an_open_that_fails_leaves_the_path_as_it_was(capsys, tmp_path):
+    target = tmp_path / "lattice.json"
+    target.mkdir()
+    code, out, err = run(capsys, "lattice", "--corpus", "builtin", "--dimension", "combined", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: io-error: {os.strerror(errno.EISDIR)}: {str(target)!r}\n"
+    assert target.is_dir()
 
 
 # an empty --out is a path naming no file, not a request for stdout

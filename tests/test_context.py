@@ -539,6 +539,14 @@ def test_universal_and_singleton_helpers():
     assert len(singleton_features(ctxs)) == 10
 
 
+def test_universal_features_skip_a_context_without_objects():
+    # every attribute of an empty context holds for all of its no objects; none of them is listed
+    other = FormalContext(Dimension.SEMANTIC_PROPERTY, ("g",), ("a", "b"), ((True, False),))
+    empty = FormalContext(Dimension.SEMANTIC_PROPERTY, (), ("a",), ())
+    assert universal_features([empty, other]) == ((Dimension.SEMANTIC_PROPERTY, "a"),)
+    assert universal_features([empty]) == ()
+
+
 # --- registry -------------------------------------------------------------------
 
 

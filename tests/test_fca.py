@@ -17,6 +17,7 @@ from kgcontinuum import (
     InputError,
     build_lattice,
     close_attributes,
+    common_position,
     close_under_implications,
     derive_attributes,
     derive_objects,
@@ -28,7 +29,9 @@ from kgcontinuum import (
     lattice_json,
     meet,
     next_closure,
+    object_concept,
     parse_json_context,
+    profile_of,
 )
 
 from kgcontinuum.fca import _ImplicationIndex, _concept_masks, _extent_mask, _intent_mask
@@ -143,6 +146,62 @@ def test_derivation_unknown_names():
     with pytest.raises(InputError) as err:
         derive_attributes(ctx, ["no such graph"])
     assert err.value.code == "unknown-object"
+
+
+# every query that looks up one name resolves it through context._lookup. The context and profile
+# queries normalize the name first, the fca queries look it up as given (README, "The queries keep
+# the same rule"), and an unknown name's message quotes the name that was looked up
+LOOKUP_CONTEXT = FormalContext(Dimension.COMBINED, ["Open KG", "g2"], ["has label", "m2"], [[1, 0], [1, 1]])
+LOOKUPS = [  # (query, kind, normalizes, call)
+    ("features_of", "object", True, lambda name: LOOKUP_CONTEXT.features_of(name)),
+    ("holders_of", "attribute", True, lambda name: LOOKUP_CONTEXT.holders_of(name)),
+    ("profile_of", "object", True, lambda name: profile_of([LOOKUP_CONTEXT], name)),
+    ("object_concept", "object", True, lambda name: object_concept(build_lattice(LOOKUP_CONTEXT), name)),
+    ("common_position", "object", True, lambda name: common_position(build_lattice(LOOKUP_CONTEXT), [name])),
+    ("derive_attributes", "object", False, lambda name: derive_attributes(LOOKUP_CONTEXT, [name])),
+    ("derive_objects", "attribute", False, lambda name: derive_objects(LOOKUP_CONTEXT, [name])),
+    ("close_attributes", "attribute", False, lambda name: close_attributes(LOOKUP_CONTEXT, [name])),
+    ("next_closure", "attribute", False, lambda name: next_closure(LOOKUP_CONTEXT, [name])),
+    ("implication_holds", "attribute", False, lambda name: implication_holds(LOOKUP_CONTEXT, Implication([name], []))),
+]
+KNOWN = {"object": "Open KG", "attribute": "has label"}
+
+
+@pytest.mark.parametrize("query, kind, normalizes, call", LOOKUPS, ids=[row[0] for row in LOOKUPS])
+def test_an_unknown_name_quotes_the_name_looked_up(query, kind, normalizes, call):
+    with pytest.raises(InputError) as err:
+        call(" No  such ")
+    looked_up = "No such" if normalizes else " No  such "
+    assert (err.value.code, err.value.message) == (f"unknown-{kind}", f"unknown {kind} {looked_up!r}")
+
+
+@pytest.mark.parametrize("query, kind, normalizes, call", LOOKUPS, ids=[row[0] for row in LOOKUPS])
+def test_a_padded_known_name_is_found_only_by_the_normalizing_queries(query, kind, normalizes, call):
+    padded = "  " + KNOWN[kind].replace(" ", " \t ") + "\n"
+    if normalizes:
+        assert call(padded) == call(KNOWN[kind])
+    else:
+        with pytest.raises(InputError) as err:
+            call(padded)
+        assert (err.value.code, err.value.message) == (f"unknown-{kind}", f"unknown {kind} {padded!r}")
+
+
+# an Implication holds only hashable names, so implication_holds never looks up an unhashable one
+FCA_LOOKUPS = [row for row in LOOKUPS if not row[2] and row[0] != "implication_holds"]
+
+
+@pytest.mark.parametrize("query, kind, normalizes, call", FCA_LOOKUPS, ids=[row[0] for row in FCA_LOOKUPS])
+def test_an_unhashable_name_in_an_fca_query_is_unknown(query, kind, normalizes, call):
+    with pytest.raises(InputError) as err:
+        call(["Open KG"])
+    assert (err.value.code, err.value.message) == (f"unknown-{kind}", f"unknown {kind} ['Open KG']")
+
+
+@pytest.mark.parametrize("extent", [[" No  such "], ["  Open KG"], ["Open KG", ["g2"]]], ids=["unknown", "padded", "unhashable"])
+def test_index_of_extent_reports_a_name_outside_the_context_as_no_such_extent(extent):
+    with pytest.raises(InputError) as err:
+        build_lattice(LOOKUP_CONTEXT).index_of_extent(extent)
+    assert (err.value.code, err.value.message) == ("unknown-extent", f"no concept has extent {sorted(extent, key=str)}")
 
 
 # --- next_closure ----------------------------------------------------------------
