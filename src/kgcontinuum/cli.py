@@ -70,17 +70,19 @@ def _emit(args, text: str) -> None:
 
 def _write(path: Path, data: bytes) -> None:
     """Write data to path; a write or close that fails unlinks the regular file it opened, through a symlink."""
+    opened = None
     out = path.open("wb")  # an open that fails leaves the path as it was
-    regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)  # a device such as /dev/full is never unlinked
     try:
         with out:
+            opened = os.fstat(out.fileno())
             out.write(data)
     except BaseException:
-        if regular:
-            try:
-                os.unlink(os.path.realpath(path))
-            except OSError:
-                pass  # the write's own error is the one to report
+        real = os.path.realpath(path)
+        try:  # only the regular file opened above: not a device such as /dev/full, nor a file put there since
+            if opened is not None and stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.stat(real)):
+                os.unlink(real)
+        except OSError:
+            pass  # the write's own error is the one to report
         raise
 
 

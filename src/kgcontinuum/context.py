@@ -164,8 +164,6 @@ def _collection(items: Iterable, what: str) -> tuple:
 
     A string or a mapping iterates as characters or keys, not as the items meant.
     """
-    if type(items) in (list, tuple):  # the usual case, in one type test: neither a str nor a Mapping
-        return tuple(items)
     if isinstance(items, (str, Mapping)) or not isinstance(items, Iterable):
         raise InputError("schema-violation", f"{what} must be a collection, not {type(items).__name__}")
     return tuple(items)

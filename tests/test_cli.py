@@ -476,8 +476,28 @@ def test_a_write_cut_short_leaves_no_file(tmp_path, out):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: io-error: {os.strerror(errno.EFBIG)}: {name!r}\n"
-    assert not target.exists()
+    if out == "existing":  # no partial document; keeping the older one is not yet promised
+        assert not target.exists() or target.read_text() == "an older document\n"
+    else:
+        assert not target.exists()
     assert (tmp_path / name).is_symlink() == (out == "symlink")  # a symlink stays; the file it named goes
+
+
+def test_a_failed_write_leaves_a_file_put_at_the_path_since_the_open(tmp_path, monkeypatch):
+    target = tmp_path / "lattice.json"
+    fstat = os.fstat
+
+    def fstat_then_swap(fd):  # another process replaces the path after this one opened it
+        opened = fstat(fd)
+        (tmp_path / "other.json").write_text("another process's file\n")
+        os.replace(tmp_path / "other.json", target)
+        return opened
+
+    monkeypatch.setattr(cli.os, "fstat", fstat_then_swap)
+    with pytest.raises(TypeError):  # a str is no bytes, so the write fails after the open
+        cli._write(target, "not bytes")
+    monkeypatch.undo()
+    assert target.read_text() == "another process's file\n"
 
 
 def test_an_open_that_fails_leaves_the_path_as_it_was(capsys, tmp_path):
