@@ -170,10 +170,11 @@ def _collection(items: Iterable, what: str) -> tuple:
 
 
 def _lookup(index: Mapping[str, int], name: str, kind: str) -> int:
-    """index[name]; a name outside index, or an unhashable one, raises InputError("unknown-<kind>")."""
+    """index[normalize_name(name)]; a normalized name outside index raises InputError("unknown-<kind>")."""
+    name = normalize_name(name)
     try:
         return index[name]
-    except (KeyError, TypeError):
+    except KeyError:
         raise InputError(f"unknown-{kind}", f"unknown {kind} {name!r}") from None
 
 
@@ -262,11 +263,11 @@ class FormalContext(_Frozen):
 
     def features_of(self, obj: str) -> frozenset[str]:
         """Attributes incident to one object."""
-        return frozenset(compress(self.attributes, self.incidence[_lookup(self.object_index, normalize_name(obj), "object")]))
+        return frozenset(compress(self.attributes, self.incidence[_lookup(self.object_index, obj, "object")]))
 
     def holders_of(self, attr: str) -> frozenset[str]:
         """Objects incident to one attribute, read from its column mask."""
-        column = self.column_masks[_lookup(self.attribute_index, normalize_name(attr), "attribute")]
+        column = self.column_masks[_lookup(self.attribute_index, attr, "attribute")]
         return frozenset(compress(self.objects, _bits(column)))
 
     @classmethod

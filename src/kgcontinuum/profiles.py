@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import compress
 from types import MappingProxyType
 
 from .context import (
@@ -14,7 +13,6 @@ from .context import (
     _collection,
     _contexts,
     _Frozen,
-    _lookup,
     _set_field,
     _typed,
     json_object,
@@ -166,15 +164,15 @@ class CostModel(_Frozen):
 def profile_of(contexts: Iterable[FormalContext], kg: str) -> KgProfile:
     """Collect one KG's features from per-dimension contexts.
 
-    Only the KG name is normalized here. The features are read from the
-    KG's incidence row in each context, whose names FormalContext has
-    already normalized, so the profile is built without normalizing them
-    again. Contexts of one dimension contribute the union of their rows.
+    Each context contributes its FormalContext.features_of row for the
+    KG, names the context has already normalized, so the profile is built
+    without normalizing them again. Contexts of one dimension contribute
+    the union of their rows.
     """
     name = normalize_name(kg)
     features: dict[Dimension, frozenset[str]] = {}
     for ctx in _contexts(contexts):
-        exhibited = frozenset(compress(ctx.attributes, ctx.incidence[_lookup(ctx.object_index, name, "object")]))
+        exhibited = ctx.features_of(name)
         dim = ctx.dimension
         features[dim] = features[dim] | exhibited if dim in features else exhibited
     if not features:
@@ -242,7 +240,7 @@ def common_position(lattice: ConceptLattice, kgs: Iterable[str]) -> int:
     Its intent is exactly the feature set the KGs share.
     """
     ctx = _typed(lattice, ConceptLattice, "a lattice must be a ConceptLattice").context
-    intent = _intent_mask(ctx, _obj_mask(ctx, map(normalize_name, _collection(kgs, "KG names"))))
+    intent = _intent_mask(ctx, _obj_mask(ctx, kgs))
     return lattice._index_by_extent[_extent_mask(ctx, intent)]
 
 

@@ -493,11 +493,13 @@ def oracle_to_dot(lattice, labels):
 
 
 def oracle_index_of_extent(lattice, extent):
+    """The concept whose extent is the normalized names; a non-string name places no concept."""
     by_extent = {c.extent: i for i, c in enumerate(lattice.concepts)}
-    try:
-        return by_extent[frozenset(extent)]
-    except KeyError:
-        raise InputError("unknown-extent", f"no concept has extent {sorted(extent)}") from None
+    if all(isinstance(name, str) for name in extent):
+        names = frozenset(map(normalize_name, extent))
+        if names in by_extent:
+            return by_extent[names]
+    raise InputError("unknown-extent", f"no concept has extent {sorted(extent, key=str)}")
 
 
 def _oracle_concept_at(lattice, index):
@@ -653,6 +655,17 @@ def contexts_strategy(draw, max_objects=7, max_attributes=7, min_objects=0, min_
         tuple(f"m{j}" for j in range(n_att)),
         tuple(tuple(r) for r in rows),
     )
+
+
+# whitespace the normalizer trims and collapses, around and inside generated names
+PADDING = st.sampled_from(["", " ", "  ", "\t", "　", " \n "])
+
+
+@st.composite
+def padded(draw, name):
+    """name, which holds one space, with drawn whitespace around it and in place of that space."""
+    head, _, tail = name.partition(" ")
+    return f"{draw(PADDING)}{head}{draw(PADDING) or ' '}{tail}{draw(PADDING)}"
 
 
 # quotes, backslashes, pipes, separators, control characters and non-ASCII text;

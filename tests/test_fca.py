@@ -56,6 +56,7 @@ from helpers import (
     oracle_intent_mask,
     oracle_next_closure_concepts,
     oracle_pseudo_intents,
+    padded,
     random_context,
     seeded_context,
     subset_strategy,
@@ -148,60 +149,65 @@ def test_derivation_unknown_names():
     assert err.value.code == "unknown-object"
 
 
-# every query that looks up one name resolves it through context._lookup. The context and profile
-# queries normalize the name first, the fca queries look it up as given (README, "The queries keep
-# the same rule"), and an unknown name's message quotes the name that was looked up
+# every query that looks up one name resolves it through context._lookup, which normalizes the name
+# as the constructors do (README, "Input formats"): a padded known name is found, an unknown name's
+# message quotes the normalized name, and a non-string name is a schema-violation
 LOOKUP_CONTEXT = FormalContext(Dimension.COMBINED, ["Open KG", "g2"], ["has label", "m2"], [[1, 0], [1, 1]])
-LOOKUPS = [  # (query, kind, normalizes, call)
-    ("features_of", "object", True, lambda name: LOOKUP_CONTEXT.features_of(name)),
-    ("holders_of", "attribute", True, lambda name: LOOKUP_CONTEXT.holders_of(name)),
-    ("profile_of", "object", True, lambda name: profile_of([LOOKUP_CONTEXT], name)),
-    ("object_concept", "object", True, lambda name: object_concept(build_lattice(LOOKUP_CONTEXT), name)),
-    ("common_position", "object", True, lambda name: common_position(build_lattice(LOOKUP_CONTEXT), [name])),
-    ("derive_attributes", "object", False, lambda name: derive_attributes(LOOKUP_CONTEXT, [name])),
-    ("derive_objects", "attribute", False, lambda name: derive_objects(LOOKUP_CONTEXT, [name])),
-    ("close_attributes", "attribute", False, lambda name: close_attributes(LOOKUP_CONTEXT, [name])),
-    ("next_closure", "attribute", False, lambda name: next_closure(LOOKUP_CONTEXT, [name])),
-    ("implication_holds", "attribute", False, lambda name: implication_holds(LOOKUP_CONTEXT, Implication([name], []))),
+LOOKUPS = [  # (query, kind, call)
+    ("features_of", "object", lambda name: LOOKUP_CONTEXT.features_of(name)),
+    ("holders_of", "attribute", lambda name: LOOKUP_CONTEXT.holders_of(name)),
+    ("profile_of", "object", lambda name: profile_of([LOOKUP_CONTEXT], name)),
+    ("object_concept", "object", lambda name: object_concept(build_lattice(LOOKUP_CONTEXT), name)),
+    ("common_position", "object", lambda name: common_position(build_lattice(LOOKUP_CONTEXT), [name])),
+    ("derive_attributes", "object", lambda name: derive_attributes(LOOKUP_CONTEXT, [name])),
+    ("derive_objects", "attribute", lambda name: derive_objects(LOOKUP_CONTEXT, [name])),
+    ("close_attributes", "attribute", lambda name: close_attributes(LOOKUP_CONTEXT, [name])),
+    ("next_closure", "attribute", lambda name: next_closure(LOOKUP_CONTEXT, [name])),
+    ("implication_holds", "attribute", lambda name: implication_holds(LOOKUP_CONTEXT, Implication([name], []))),
 ]
 KNOWN = {"object": "Open KG", "attribute": "has label"}
 
 
-@pytest.mark.parametrize("query, kind, normalizes, call", LOOKUPS, ids=[row[0] for row in LOOKUPS])
-def test_an_unknown_name_quotes_the_name_looked_up(query, kind, normalizes, call):
+@pytest.mark.parametrize("query, kind, call", LOOKUPS, ids=[row[0] for row in LOOKUPS])
+def test_an_unknown_name_quotes_the_name_looked_up(query, kind, call):
     with pytest.raises(InputError) as err:
         call(" No  such ")
-    looked_up = "No such" if normalizes else " No  such "
-    assert (err.value.code, err.value.message) == (f"unknown-{kind}", f"unknown {kind} {looked_up!r}")
+    assert (err.value.code, err.value.message) == (f"unknown-{kind}", f"unknown {kind} 'No such'")
 
 
-@pytest.mark.parametrize("query, kind, normalizes, call", LOOKUPS, ids=[row[0] for row in LOOKUPS])
-def test_a_padded_known_name_is_found_only_by_the_normalizing_queries(query, kind, normalizes, call):
-    padded = "  " + KNOWN[kind].replace(" ", " \t ") + "\n"
-    if normalizes:
-        assert call(padded) == call(KNOWN[kind])
-    else:
-        with pytest.raises(InputError) as err:
-            call(padded)
-        assert (err.value.code, err.value.message) == (f"unknown-{kind}", f"unknown {kind} {padded!r}")
+@pytest.mark.parametrize("query, kind, call", LOOKUPS, ids=[row[0] for row in LOOKUPS])
+@given(data=st.data())
+def test_a_padded_known_name_is_found_by_every_query(query, kind, call, data):
+    assert call(data.draw(padded(KNOWN[kind]))) == call(KNOWN[kind])
 
 
-# an Implication holds only hashable names, so implication_holds never looks up an unhashable one
-FCA_LOOKUPS = [row for row in LOOKUPS if not row[2] and row[0] != "implication_holds"]
+# an Implication refuses an unhashable name itself, so implication_holds never looks one up
+NON_STRINGS = [
+    pytest.param(query, kind, call, name, id=f"{query}-{type(name).__name__}")
+    for query, kind, call in LOOKUPS
+    for name in (["Open KG"], 5, None)
+    if not (query == "implication_holds" and isinstance(name, list))
+]
 
 
-@pytest.mark.parametrize("query, kind, normalizes, call", FCA_LOOKUPS, ids=[row[0] for row in FCA_LOOKUPS])
-def test_an_unhashable_name_in_an_fca_query_is_unknown(query, kind, normalizes, call):
+@pytest.mark.parametrize("query, kind, call, name", NON_STRINGS)
+def test_a_non_string_name_is_a_schema_violation(query, kind, call, name):
     with pytest.raises(InputError) as err:
-        call(["Open KG"])
-    assert (err.value.code, err.value.message) == (f"unknown-{kind}", f"unknown {kind} ['Open KG']")
+        call(name)
+    assert err.value.code == "schema-violation"
+    assert err.value.message.endswith(f", not {type(name).__name__}")
 
 
-@pytest.mark.parametrize("extent", [[" No  such "], ["  Open KG"], ["Open KG", ["g2"]]], ids=["unknown", "padded", "unhashable"])
+@pytest.mark.parametrize("extent", [[" No  such "], ["Open KG", ["g2"]]], ids=["unknown", "unhashable"])
 def test_index_of_extent_reports_a_name_outside_the_context_as_no_such_extent(extent):
     with pytest.raises(InputError) as err:
         build_lattice(LOOKUP_CONTEXT).index_of_extent(extent)
     assert (err.value.code, err.value.message) == ("unknown-extent", f"no concept has extent {sorted(extent, key=str)}")
+
+
+def test_index_of_extent_finds_a_padded_name():
+    lattice = build_lattice(LOOKUP_CONTEXT)
+    assert lattice.index_of_extent(["  Open KG", "g2"]) == lattice.index_of_extent(["Open KG", "g2"])
 
 
 # --- next_closure ----------------------------------------------------------------

@@ -46,6 +46,7 @@ from helpers import (
     oracle_fitness_json,
     oracle_profile_of,
     oracle_transformation_delta,
+    padded,
 )
 
 SP = Dimension.SEMANTIC_PROPERTY
@@ -87,16 +88,6 @@ def test_profile_no_contexts():
     with pytest.raises(InputError) as err:
         profile_of([], "Wikidata")
     assert err.value.code == "missing-input"
-
-
-# whitespace the normalizer trims and collapses, around and inside generated names
-PADDING = st.sampled_from(["", " ", "  ", "\t", "　", " \n "])
-
-
-@st.composite
-def padded(draw, name):
-    head, _, tail = name.partition(" ")
-    return f"{draw(PADDING)}{head}{draw(PADDING) or ' '}{tail}{draw(PADDING)}"
 
 
 @st.composite
